@@ -3,8 +3,9 @@
 The distance of a pure state from the set of K-separable product states,
 E_G^(K) = 1 - max |<Phi|Psi>|^2, is computed for every K = 2..N, both
 relative to a fixed partition of the qubits and minimized over partitions.
-Closed-form values for the solvable state families back a multistart
-alternating-ascent optimizer that handles arbitrary complex states.
+Closed-form values for the solvable state families back an optimizer that
+handles arbitrary complex states: an SVD for bipartitions, and a multistart
+alternating ascent with a coarsening-bound certificate otherwise.
 """
 
 from .closedform import (
@@ -26,6 +27,7 @@ from .closedform import (
 from .errors import (
     DegenerateInputError,
     DomainError,
+    NumericalFaultError,
     ResourceCapError,
     ShapeMismatchError,
 )

@@ -4,7 +4,8 @@ Subcommands: state (build a state file), egk (one measure), hierarchy
 (full K = 2..N report), tables (reference tables as CSV/JSON), curves
 (figure datasets), verify (the verification suite).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 size cap.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 size cap,
+4 numerical fault (the ascent broke its monotonicity invariant).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 
 from . import reports
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, NumericalFaultError, ResourceCapError
 from .hierarchy import egk_absolute, egk_relative, full_hierarchy
 from .optimizer import OptimizerConfig
 from .partitions import Partition
@@ -24,6 +25,7 @@ from .states import StateRecipe, load_state, save_state
 
 USAGE_ERROR = 2
 CAP_ERROR = 3
+NUMERIC_ERROR = 4
 
 
 def _default_seed() -> int:
@@ -274,6 +276,9 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR
+    except NumericalFaultError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return NUMERIC_ERROR
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -15,3 +15,7 @@ class DegenerateInputError(ValueError):
 
 class ResourceCapError(RuntimeError):
     """A computation would exceed the configured size caps."""
+
+
+class NumericalFaultError(RuntimeError):
+    """A computation broke an invariant that exact arithmetic guarantees."""

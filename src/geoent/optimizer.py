@@ -1,10 +1,18 @@
 """Numerical maximization of |<Phi|Psi>|^2 over K-separable product states.
 
-The workhorse is multistart alternating ascent: with all factors but one
-fixed, the optimal remaining factor is the normalized contraction of the
-state against the others, and the overlap modulus it achieves is the
+A bipartition (K = 2) is solved exactly: Lambda^2 is the largest squared
+Schmidt coefficient of the blocked amplitude matrix, and the leading
+singular vectors are the optimal factors (one SVD, no restarts, no RNG).
+
+For K >= 3 the workhorse is multistart alternating ascent: with all factors
+but one fixed, the optimal remaining factor is the normalized contraction of
+the state against the others, and the overlap modulus it achieves is the
 contraction norm, so every update is exact and monotone. Restarts are
-batched along a leading axis and run vectorized.
+batched along a leading axis and run vectorized; they matter only here.
+Every bipartition that coarsens the partition has a larger separable set,
+so the smallest of their sigma_max^2 bounds Lambda^2 from above. This bound
+is reported as ``upper_bound``, and once the best restart meets it within
+``tol`` the maximum is certified and every restart stops.
 
 grid_oracle is a deliberately separate brute-force maximizer used as an
 independent reference in tests; it shares no iteration logic with the
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .errors import DomainError, ResourceCapError, ShapeMismatchError
+from .errors import DomainError, NumericalFaultError, ResourceCapError, ShapeMismatchError
 from .hyperspherical import angles_to_amplitudes
 from .partitions import Partition
 from .states import PureState
@@ -84,7 +92,12 @@ class ProductState:
 
 @dataclass(frozen=True, eq=False)
 class OverlapResult:
-    """Best squared overlap found, with the realizing product state."""
+    """Best squared overlap found, with the realizing product state.
+
+    ``upper_bound`` is a rigorous upper bound on Lambda^2: the smallest
+    sigma_max^2 over the bipartitions that coarsen the partition. It equals
+    ``lambda2`` for K <= 2, where the value is exact.
+    """
 
     lambda2: float
     e_g: float
@@ -93,6 +106,7 @@ class OverlapResult:
     iterations: int
     converged: bool
     winner_restart: int
+    upper_bound: float
     reinjections: int = 0
 
     def __post_init__(self):
@@ -137,6 +151,24 @@ def _environment(psi_k: np.ndarray, factors_conj: list[np.ndarray], skip: int) -
         env = np.einsum("r...d,rd->r...", np.moveaxis(env, pos, -1), factors_conj[t])
         remaining.remove(t)
     return env.reshape(env.shape[0], -1)
+
+
+def _coarsening_bound(psi_k: np.ndarray) -> float:
+    """Smallest sigma_max^2 over the 2^(K-1) - 1 coarsenings into two groups.
+
+    A group is a nonempty set of blocks without the last one; the rest form
+    the other group. Each coarsening's separable set contains the
+    partition's, so each sigma_max^2 bounds Lambda^2 from above.
+    """
+    k = psi_k.ndim
+    best = 1.0
+    for mask in range(1, 2 ** (k - 1)):
+        group = [t for t in range(k) if mask >> t & 1]
+        rest = [t for t in range(k) if not mask >> t & 1]
+        rows = int(np.prod([psi_k.shape[t] for t in group]))
+        mat = psi_k.transpose(group + rest).reshape(rows, -1)
+        best = min(best, float(np.linalg.svd(mat, compute_uv=False)[0]) ** 2)
+    return best
 
 
 def _gauge_fix(factors: np.ndarray) -> np.ndarray:
@@ -259,12 +291,14 @@ def update_factor(psi: PureState, product: ProductState, s: int, rng=None):
 
 
 def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig | None = None) -> OverlapResult:
-    """Multistart alternating ascent for Lambda_K^2 on a fixed partition.
+    """Lambda_K^2 on a fixed partition: an SVD for K = 2, else multistart ascent.
 
-    Blocks are swept in canonical order; one iteration is one full sweep.
-    A restart stops when its squared overlap improves by less than
-    ``config.tol`` over a sweep. The returned result is the highest value
-    across restarts (ties broken by lowest restart index) and is
+    For K >= 3, blocks are swept in canonical order; one iteration is one
+    full sweep. A restart stops when its squared overlap improves by less
+    than ``config.tol`` over a sweep, and every restart stops once the best
+    one is within ``config.tol`` of the coarsening bound (the winner then
+    counts as converged at that sweep). The returned result is the highest
+    value across restarts (ties broken by lowest restart index) and is
     deterministic for a fixed seed.
     """
     config = config or OptimizerConfig()
@@ -276,8 +310,15 @@ def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig |
     if k == 1:
         factor = _gauge_fix(psi.amplitudes.reshape(1, -1).copy())[0]
         product = ProductState(partition, (factor,))
-        return OverlapResult(1.0, 0.0, product, partition, 0, True, 0)
+        return OverlapResult(1.0, 0.0, product, partition, 0, True, 0, upper_bound=1.0)
 
+    if k == 2:
+        u, s, vh = np.linalg.svd(psi_k, full_matrices=False)
+        best = min(float(s[0]) ** 2, 1.0)
+        product = ProductState(partition, (_gauge_fix(u[:, :1].T)[0], _gauge_fix(vh[:1])[0]))
+        return OverlapResult(best, 1.0 - best, product, partition, 0, True, 0, upper_bound=best)
+
+    bound = _coarsening_bound(psi_k)
     factors, rng = _initial_factors(dims, config, partition)
     lam2 = np.zeros(r)
     prev_sweep = np.full(r, -1.0)
@@ -305,7 +346,7 @@ def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig |
                 reinjections += int(np.count_nonzero(dead))
             alive = ~dead
             if np.any(norms[alive] < prev_overlap[idx][alive] - 1e-9):
-                raise RuntimeError("ascent monotonicity violated; numerical fault")
+                raise NumericalFaultError("ascent monotonicity violated; numerical fault")
             divisor = np.where(dead, 1.0, np.maximum(norms, _ZERO_NORM))
             factors[s][idx] = _gauge_fix(env / divisor[:, None])
             prev_overlap[idx] = norms
@@ -316,6 +357,11 @@ def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig |
         converged[newly] = True
         active[newly] = False
         prev_sweep[idx] = lam2[idx]
+        if lam2.max() >= bound - config.tol:
+            winner = int(np.argmax(lam2))
+            iterations[winner] = sweep
+            converged[winner] = True
+            break
 
     winner = int(np.argmax(lam2))
     product = ProductState(partition, tuple(factors[s][winner] for s in range(k)))
@@ -328,6 +374,7 @@ def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig |
         iterations=int(iterations[winner]),
         converged=bool(converged[winner]),
         winner_restart=winner,
+        upper_bound=bound,
         reinjections=reinjections,
     )
 
@@ -460,4 +507,5 @@ def grid_oracle(psi: PureState, partition: Partition, resolution: int = 40) -> O
         iterations=total,
         converged=True,
         winner_restart=0,
+        upper_bound=_coarsening_bound(psi_k),
     )

@@ -255,8 +255,12 @@ def test_criterion_09_figure_spot_checks(config):
 
 
 def test_criterion_10_oracle_cross_validation(config):
+    # 1|2,3 is solved by an SVD; 1|2|3 keeps the multistart ascent under the oracle.
     report = run_verify(config, suites=["oracle"])
-    record(10, report.passed, "ascent vs grid oracle on 20 random 3-qubit states")
+    record(10, report.passed,
+           "SVD (1|2,3) and ascent (1|2|3) vs grid oracle on 20 random 3-qubit states")
+    lines = report.results[0].lines
+    assert len(lines) == 2 and "1|2|3" in lines[1], lines
     assert report.passed, reports.render_report(report)
 
 

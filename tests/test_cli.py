@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 
 import geoent as ge
-from geoent import reports
-from geoent.cli import main
+from geoent import hierarchy, reports
+from geoent.cli import NUMERIC_ERROR, main
 
 
 def run(*argv):
@@ -102,6 +102,14 @@ class TestEgkCommand:
 
     def test_missing_file(self, tmp_path):
         assert run("egk", tmp_path / "nope.json", "--k", 2) == 2
+
+    def test_numerical_fault_exit_code(self, w4_file, monkeypatch, capsys):
+        def fault(*args, **kwargs):
+            raise ge.NumericalFaultError("ascent monotonicity violated; numerical fault")
+
+        monkeypatch.setattr(hierarchy, "best_overlap", fault)
+        assert run("egk", w4_file, "--k", 3, "--partition", "1|2|3,4") == NUMERIC_ERROR == 4
+        assert "error: ascent monotonicity violated" in capsys.readouterr().err
 
 
 class TestHierarchyCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import geoent as ge
 from geoent.errors import DomainError, ResourceCapError, ShapeMismatchError
@@ -21,6 +22,37 @@ def schmidt_lambda2(psi, partition):
     m1 = len(partition.blocks[0])
     mat = psi.tensor.transpose(axes).reshape(2 ** m1, -1)
     return float(np.max(scipy.linalg.svdvals(mat)) ** 2)
+
+
+def relabelled(partition, sigma):
+    """The partition's blocks at their positions in permute_qubits(psi, sigma)."""
+    inverse = {old: new for new, old in enumerate(sigma, start=1)}
+    return ge.Partition(tuple(
+        tuple(sorted(inverse[q] for q in block)) for block in partition.blocks
+    ))
+
+
+def local_unitary(psi, rng):
+    """Apply an independent random 2x2 unitary to every qubit."""
+    t = psi.tensor
+    for q in range(psi.num_qubits):
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        t = np.moveaxis(np.tensordot(u, t, axes=(1, q)), 0, q)
+    return ge.PureState(psi.num_qubits, t.reshape(-1))
+
+
+@st.composite
+def random_cases(draw):
+    """(state, partition, rng) with N <= 5 and K = 2 or 3."""
+    k = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(k, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    partitions = sorted(ge.set_partitions(n, k), key=lambda p: p.sort_key())
+    return ge.random_state(n, rng), draw(st.sampled_from(partitions)), rng
+
+
+# Examples are fixed so that tier-1 runs the same cases every time.
+invariance_settings = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
 class TestConfigAndTypes:
@@ -183,13 +215,8 @@ class TestBestOverlap:
         sigma = (2, 4, 1, 3)  # new qubit q carries old qubit sigma[q-1]
         permuted = ge.permute_qubits(psi, sigma)
         partition = ge.Partition(((1, 2), (3, 4)))
-        # old block {1,2} appears in the permuted state at the new positions
-        inverse = {old: new for new, old in enumerate(sigma, start=1)}
-        mapped = ge.Partition(tuple(
-            tuple(sorted(inverse[q] for q in block)) for block in partition.blocks
-        ))
         a = ge.best_overlap(psi, partition, config)
-        b = ge.best_overlap(permuted, mapped, config)
+        b = ge.best_overlap(permuted, relabelled(partition, sigma), config)
         assert a.lambda2 == pytest.approx(b.lambda2, abs=1e-9)
 
     def test_deterministic_for_fixed_seed(self):
@@ -212,6 +239,61 @@ class TestBestOverlap:
         assert result.e_g == 1.0 - result.lambda2
         assert result.converged
         assert 0 <= result.winner_restart < config.restarts
+
+
+class TestInvariances:
+    @invariance_settings
+    @given(random_cases())
+    def test_local_unitaries(self, case):
+        psi, partition, rng = case
+        config = ge.OptimizerConfig()
+        a = ge.best_overlap(psi, partition, config)
+        b = ge.best_overlap(local_unitary(psi, rng), partition, config)
+        assert b.lambda2 == pytest.approx(a.lambda2, abs=1e-9)
+
+    @invariance_settings
+    @given(random_cases(), st.data())
+    def test_qubit_relabelling(self, case, data):
+        psi, partition, _ = case
+        sigma = data.draw(st.permutations(range(1, psi.num_qubits + 1)))
+        config = ge.OptimizerConfig()
+        a = ge.best_overlap(psi, partition, config)
+        b = ge.best_overlap(ge.permute_qubits(psi, sigma), relabelled(partition, sigma), config)
+        assert b.lambda2 == pytest.approx(a.lambda2, abs=1e-9)
+
+    @invariance_settings
+    @given(random_cases())
+    def test_bound_and_argmax(self, case):
+        psi, partition, _ = case
+        result = ge.best_overlap(psi, partition, ge.OptimizerConfig())
+        assert result.lambda2 <= result.upper_bound + 1e-12
+        realized = abs(ge.overlap(psi, result.argmax.assemble())) ** 2
+        assert realized == pytest.approx(result.lambda2, abs=1e-12)
+
+
+class TestCertifiedStop:
+    def test_fires_on_w6_tripartition(self, config):
+        # The 1,2,3|4,5,6 coarsening gives exactly 1/2, which the winner meets.
+        result = ge.best_overlap(ge.w(6), ge.Partition(((1,), (2, 3), (4, 5, 6))), config)
+        assert result.upper_bound == pytest.approx(0.5, abs=1e-12)
+        assert result.lambda2 >= result.upper_bound - config.tol
+        # The tol rule compares two sweeps, so it cannot stop a restart at
+        # sweep 1; only the certificate can.
+        assert result.converged and result.iterations == 1
+
+    def test_does_not_cut_short_magnon7(self, config):
+        # Lambda^2 = 3/7 stays below the coarsening bound 4/7: no certificate.
+        result = ge.best_overlap(
+            ge.magnon(7, 2), ge.Partition(((1,), (2, 3, 4), (5, 6, 7))), config
+        )
+        assert result.lambda2 == pytest.approx(3 / 7, abs=1e-9)
+        assert result.upper_bound == pytest.approx(4 / 7, abs=1e-12)
+        assert result.converged and result.iterations > 1
+
+    def test_bipartition_is_exact(self, config):
+        result = ge.best_overlap(ge.random_state(5, 2), ge.Partition(((1, 4), (2, 3, 5))), config)
+        assert result.upper_bound == result.lambda2
+        assert result.converged and result.iterations == 0
 
 
 class TestGridOracle:
