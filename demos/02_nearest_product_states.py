@@ -4,9 +4,10 @@ For a fixed partition of the qubits, E = 1 - Lambda^2 is the geometric
 measure, where Lambda^2 is the squared overlap with the best product state.
 On a bipartition Lambda^2 is the largest squared Schmidt coefficient (one
 SVD). On three or more blocks it is maximized by alternating exact
-single-factor updates (each update replaces one factor by the normalized
-contraction of the state against the others), and every coarsening into two
-blocks bounds it from above.
+updates of two blocks at a time (each update replaces a pair of factors by
+the leading singular pair of the state contracted against the others; for
+an odd number of blocks the largest one is updated alone), and every
+coarsening into two blocks bounds it from above.
 """
 
 import numpy as np

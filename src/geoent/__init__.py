@@ -5,7 +5,7 @@ E_G^(K) = 1 - max |<Phi|Psi>|^2, is computed for every K = 2..N, both
 relative to a fixed partition of the qubits and minimized over partitions.
 Closed-form values for the solvable state families back an optimizer that
 handles arbitrary complex states: an SVD for bipartitions, and a multistart
-alternating ascent with a coarsening-bound certificate otherwise.
+ascent over pairs of blocks with a coarsening-bound certificate otherwise.
 """
 
 from .closedform import (
@@ -55,7 +55,6 @@ from .optimizer import (
     ProductState,
     best_overlap,
     grid_oracle,
-    update_factor,
 )
 from .partitions import (
     Partition,

@@ -50,24 +50,14 @@ def egk_relative(psi: PureState, partition: Partition, config: OptimizerConfig |
 
 
 def _relative_e_task(args):
-    amps, n, blocks, cfg = args
-    psi = PureState(n, np.asarray(amps))
-    partition = Partition(blocks)
-    config = OptimizerConfig(**cfg)
-    return best_overlap(psi, partition, config).e_g
+    amps, n, blocks, config = args
+    return best_overlap(PureState(n, np.asarray(amps)), Partition(blocks), config).e_g
 
 
 def _relative_values(psi, partitions, config, workers):
     if workers <= 1 or len(partitions) <= 1:
         return [best_overlap(psi, p, config).e_g for p in partitions]
-    cfg = {
-        "restarts": config.restarts,
-        "max_iterations": config.max_iterations,
-        "tol": config.tol,
-        "seed": config.seed,
-        "grid_resolution": config.grid_resolution,
-    }
-    tasks = [(psi.amplitudes, psi.num_qubits, p.blocks, cfg) for p in partitions]
+    tasks = [(psi.amplitudes, psi.num_qubits, p.blocks, config) for p in partitions]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_relative_e_task, tasks))
 

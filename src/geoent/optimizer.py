@@ -4,11 +4,15 @@ A bipartition (K = 2) is solved exactly: Lambda^2 is the largest squared
 Schmidt coefficient of the blocked amplitude matrix, and the leading
 singular vectors are the optimal factors (one SVD, no restarts, no RNG).
 
-For K >= 3 the workhorse is multistart alternating ascent: with all factors
-but one fixed, the optimal remaining factor is the normalized contraction of
-the state against the others, and the overlap modulus it achieves is the
-contraction norm, so every update is exact and monotone. Restarts are
-batched along a leading axis and run vectorized; they matter only here.
+For K >= 3 the workhorse is multistart alternating ascent over pairs of
+blocks: with all factors but two fixed, the state contracted against the
+others is a matrix, and its leading singular pair is the optimal pair of
+factors, with the largest singular value as the overlap modulus. For odd K
+a sweep first sets the largest block alone to the normalized contraction of
+the state against the others, which is its optimal factor; then it takes
+the pairs from the smallest block up. Every step is exact, so the ascent is
+monotone. Restarts are batched along a leading axis and run vectorized;
+they matter only here.
 Every bipartition that coarsens the partition has a larger separable set,
 so the smallest of their sigma_max^2 bounds Lambda^2 from above. This bound
 is reported as ``upper_bound``, and once the best restart meets it within
@@ -21,6 +25,7 @@ ascent solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,37 +273,38 @@ def _initial_factors(dims, config, partition) -> tuple[list[np.ndarray], np.rand
 # alternating ascent
 # ---------------------------------------------------------------------------
 
-def update_factor(psi: PureState, product: ProductState, s: int, rng=None):
-    """Optimal single-factor step: replace factor s by the normalized
-    contraction of the state against the other conjugated factors.
+def _sweep_steps(dims: list[int]) -> list[tuple[int, ...]]:
+    """The blocks each step of a sweep updates, in order: for odd K the
+    largest block alone, then pairs from the smallest block up."""
+    order = sorted(range(len(dims)), key=lambda t: dims[t])
+    alone = [(order.pop(),)] if len(order) % 2 else []
+    return alone + [tuple(order[i:i + 2]) for i in range(0, len(order), 2)]
 
-    Returns (new_factor, new_overlap_modulus). A zero contraction is the
-    degenerate case; the factor is then replaced by a fresh random unit
-    vector and the modulus reported is 0.
-    """
-    if not 0 <= s < product.partition.k:
-        raise DomainError(f"block index {s} out of range")
-    psi_k = _blocked_tensor(psi, product.partition)
-    fcs = [f.conj().reshape(1, -1) for f in product.factors]
-    env = _environment(psi_k, fcs, s)[0]
-    norm = np.linalg.norm(env)
-    if norm < _ZERO_NORM:
-        rng = np.random.default_rng(rng)
-        z = rng.normal(size=env.size) + 1j * rng.normal(size=env.size)
-        return z / np.linalg.norm(z), 0.0
-    factor = _gauge_fix((env / norm).reshape(1, -1))[0]
-    return factor, float(norm)
+
+def _conj_outer(factors: list[np.ndarray], blocks: list[int], idx: np.ndarray) -> np.ndarray:
+    """Rows of the conjugated factors' tensor product over ``blocks``, (R, prod d)."""
+    out = factors[blocks[0]][idx].conj()
+    for t in blocks[1:]:
+        out = (out[:, :, None] * factors[t][idx].conj()[:, None, :]).reshape(idx.size, -1)
+    return out
 
 
 def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig | None = None) -> OverlapResult:
     """Lambda_K^2 on a fixed partition: an SVD for K = 2, else multistart ascent.
 
-    For K >= 3, blocks are swept in canonical order; one iteration is one
-    full sweep. A restart stops when its squared overlap improves by less
-    than ``config.tol`` over a sweep, and every restart stops once the best
-    one is within ``config.tol`` of the coarsening bound (the winner then
-    counts as converged at that sweep). The returned result is the highest
-    value across restarts (ties broken by lowest restart index) and is
+    For K >= 3 one iteration is one sweep of ceil(K/2) exact steps. For odd
+    K the sweep first sets the largest block to its normalized contraction
+    with the other factors. Then each pair of blocks, from the smallest up,
+    is set to the leading singular pair of the state contracted with every
+    other factor (a batched eigh of its Gram matrix on the smaller side,
+    then one matvec). Each step is one matrix product of the other factors'
+    outer product against a state matrix built once per call.
+
+    A restart stops when its squared overlap improves by less than
+    ``config.tol`` over a sweep, and every restart stops once the best one
+    is within ``config.tol`` of the coarsening bound (the winner then counts
+    as converged at that sweep). The returned result is the highest value
+    across restarts (ties broken by lowest restart index) and is
     deterministic for a fixed seed.
     """
     config = config or OptimizerConfig()
@@ -319,6 +325,11 @@ def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig |
         return OverlapResult(best, 1.0 - best, product, partition, 0, True, 0, upper_bound=best)
 
     bound = _coarsening_bound(psi_k)
+    steps = []
+    for keep in _sweep_steps(dims):
+        rest = [t for t in range(k) if t not in keep]
+        mat = psi_k.transpose(rest + list(keep)).reshape(-1, math.prod(dims[t] for t in keep))
+        steps.append((keep, rest, mat))
     factors, rng = _initial_factors(dims, config, partition)
     lam2 = np.zeros(r)
     prev_sweep = np.full(r, -1.0)
@@ -332,23 +343,33 @@ def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig |
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        for s in range(k):
-            fcs = [factors[t][idx].conj() for t in range(k)]
-            env = _environment(psi_k, fcs, s)
+        for keep, rest, mat in steps:
+            env = _conj_outer(factors, rest, idx) @ mat
+            if len(keep) == 2:
+                # keep[0] is the smaller block, so the Gram matrix is the smaller one.
+                pair = env.reshape(idx.size, dims[keep[0]], dims[keep[1]])
+                gram = pair @ pair.conj().transpose(0, 2, 1)
+                top = np.linalg.eigh(gram)[1][:, :, -1]
+                env = (top.conj()[:, None, :] @ pair)[:, 0, :]
+                new = [top, env]
+            else:
+                new = [env]
             norms = np.linalg.norm(env, axis=1)
             dead = norms < _ZERO_NORM
-            if np.any(dead):
+            new[-1] = env / np.maximum(norms, _ZERO_NORM)[:, None]
+            if dead.any():
                 for row in np.flatnonzero(dead):
-                    z = rng.normal(size=dims[s]) + 1j * rng.normal(size=dims[s])
-                    env[row] = z / np.linalg.norm(z)
+                    for t, f in zip(keep, new):
+                        z = rng.normal(size=dims[t]) + 1j * rng.normal(size=dims[t])
+                        f[row] = z / np.linalg.norm(z)
                     norms[row] = 0.0
                     prev_overlap[idx[row]] = 0.0
                 reinjections += int(np.count_nonzero(dead))
             alive = ~dead
-            if np.any(norms[alive] < prev_overlap[idx][alive] - 1e-9):
+            if (norms[alive] < prev_overlap[idx][alive] - 1e-9).any():
                 raise NumericalFaultError("ascent monotonicity violated; numerical fault")
-            divisor = np.where(dead, 1.0, np.maximum(norms, _ZERO_NORM))
-            factors[s][idx] = _gauge_fix(env / divisor[:, None])
+            for t, f in zip(keep, new):
+                factors[t][idx] = f
             prev_overlap[idx] = norms
         lam2[idx] = prev_overlap[idx] ** 2
         done = np.abs(lam2[idx] - prev_sweep[idx]) < config.tol
@@ -364,8 +385,8 @@ def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig |
             break
 
     winner = int(np.argmax(lam2))
-    product = ProductState(partition, tuple(factors[s][winner] for s in range(k)))
-    best = float(lam2[winner])
+    product = ProductState(partition, tuple(_gauge_fix(f[winner:winner + 1])[0] for f in factors))
+    best = min(float(lam2[winner]), 1.0)
     return OverlapResult(
         lambda2=best,
         e_g=1.0 - best,

@@ -593,7 +593,7 @@ def _check_oracle(config, workers):
     # 1|2,3 is solved by an SVD; 1|2|3 keeps the multistart ascent under test.
     cases = (
         (Partition(((1,), (2, 3))), config.grid_resolution,
-         "ascent vs grid oracle, 20 random 3-qubit states"),
+         "SVD vs grid oracle, 20 random 3-qubit states"),
         (Partition(((1,), (2,), (3,))), ORACLE_TRIPARTITION_RESOLUTION,
          f"ascent vs grid oracle on 1|2|3 (grid resolution "
          f"{ORACLE_TRIPARTITION_RESOLUTION}), same 20 states"),
