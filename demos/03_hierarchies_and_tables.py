@@ -24,7 +24,7 @@ print("  monotone in K:", report.monotonic)
 # The same state shows that a misaligned 2|2 cut is much worse than the
 # aligned one: the relative measure is partition-dependent.
 for blocks in (((1, 2), (3, 4)), ((1, 3), (2, 4))):
-    r = ge.egk_relative(ge.cluster4(), ge.Partition(blocks), config)
+    r = ge.best_overlap(ge.cluster4(), ge.Partition(blocks), config)
     print(f"cluster4 relative E on {r.partition.text}: {r.e_g:.6f}")
 
 # W states: exact closed forms back every numeric value.
@@ -34,7 +34,7 @@ for shape, closed in [
     (ge.Shape((1, 2, 3)), ge.w_trisep(1, 2, 3)),
     (ge.Shape((1, 1, 2, 2)), ge.w_ksep_reduced(ge.Shape((1, 1, 2, 2)))),
 ]:
-    numeric = ge.egk_relative(ge.w(6), ge.representative_partition(shape), config)
+    numeric = ge.best_overlap(ge.w(6), ge.representative_partition(shape), config)
     print(f"  {shape.text}: numeric {numeric.e_g:.10f}  closed {closed.e_g:.10f}")
 
 # Reference tables bundle closed forms, numeric values, and their gap.

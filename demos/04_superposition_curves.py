@@ -37,7 +37,7 @@ print("\nW + flipped-W, E^(3) at eta = 0, pi/4, pi/2:",
       [round(e, 6) for _, e in rows])
 
 # For N >= 4 the single-site-cut curve of the real W+GHZ family rises
-# monotonically from 1/N to 1/2 (evaluated via the reduced 4-angle form).
+# monotonically from 1/N to 1/2 (its closed form is an at most 3x3 SVD).
 print("\nE^(2)(1|N-1) of cos(eta) W + sin(eta) GHZ:")
 print("eta/pi    N=4       N=8       N=50")
 grid = np.linspace(0.0, np.pi / 2, 7)

@@ -20,7 +20,7 @@ for block in ({1}, {1, 2}, {2, 4}):
     closed = ge.asym_w_bisep(gamma, block)
     rest = tuple(sorted(set(range(1, 5)) - block))
     partition = ge.Partition((tuple(sorted(block)), rest))
-    numeric = ge.egk_relative(psi, partition, config)
+    numeric = ge.best_overlap(psi, partition, config)
     exact = (f"{closed.exact.numerator}/{closed.exact.denominator}"
              if closed.exact is not None else "-")
     print(f"  split {partition.text}: closed E = {closed.e_g:.12f} ({exact}), "
@@ -46,9 +46,9 @@ for k in (2, 3):
     b = ge.egk_absolute(phased, k, config)[0]
     print(f"E^({k}) with/without phases: {a:.12f} / {b:.12f}")
 
-# K-block values from the reduced form, cross-checked by the optimizer.
+# K-block values from the exact reduced form, cross-checked by the optimizer.
 blocks = ge.Partition(((1,), (2,), (3, 4)))
 reduced = ge.asym_w_ksep_reduced(gamma, blocks)
-numeric = ge.egk_relative(psi, blocks, config)
+numeric = ge.best_overlap(psi, blocks, config)
 print(f"\n3-block split {blocks.text}: reduced {reduced.e_g:.12f} "
       f"vs optimizer {numeric.e_g:.12f}")

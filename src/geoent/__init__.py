@@ -36,19 +36,12 @@ from .hierarchy import (
     KEntry,
     ScaleCheck,
     egk_absolute,
-    egk_relative,
     full_hierarchy,
     is_symmetric,
     scale_invariance_check,
     sweep_eta,
 )
-from .hyperspherical import (
-    IndexMapping,
-    amplitudes_to_angles,
-    angles_to_amplitudes,
-    excitation_order_mapping,
-    identity_mapping,
-)
+from .hyperspherical import angles_to_amplitudes
 from .optimizer import (
     OptimizerConfig,
     OverlapResult,
@@ -60,9 +53,7 @@ from .partitions import (
     Partition,
     Shape,
     representative_partition,
-    scale_shape,
     set_partitions,
-    shape_of,
     shapes,
     stirling2,
 )
@@ -73,14 +64,12 @@ from .states import (
     basis_ket,
     cluster4,
     ghz,
-    join_index,
     load_state,
     magnon,
     overlap,
     permute_qubits,
     random_state,
     save_state,
-    split_index,
     superpose,
     w,
     w_tilde3,

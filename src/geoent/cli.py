@@ -17,8 +17,8 @@ import sys
 
 from . import reports
 from .errors import DomainError, NumericalFaultError, ResourceCapError
-from .hierarchy import egk_absolute, egk_relative, full_hierarchy
-from .optimizer import OptimizerConfig
+from .hierarchy import egk_absolute, full_hierarchy
+from .optimizer import OptimizerConfig, best_overlap
 from .partitions import Partition
 from .reports import fmt
 from .states import StateRecipe, load_state, save_state
@@ -99,7 +99,7 @@ def cmd_egk(args) -> int:
                 f"partition {partition.text} has K={partition.k}, "
                 f"but --k {args.k} was given"
             )
-        result = egk_relative(psi, partition, config)
+        result = best_overlap(psi, partition, config)
         record = {
             "k": args.k,
             "partition": partition.text,

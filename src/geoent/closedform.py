@@ -1,9 +1,10 @@
-"""Exact and reduced-form values of the squared overlap Lambda_K^2 and E_G^(K).
+"""Exact values of the squared overlap Lambda_K^2 and E_G^(K) for solvable families.
 
 These serve as the oracle for the numeric optimizer. Wherever a formula is
-rational in integers the result carries an exact Fraction; the reduced
-K-angle forms are maximized numerically (multistart coordinate ascent with
-closed-form single-angle updates) over exactly K (or 2K) variables.
+rational in integers the result carries an exact Fraction. The rest are exact
+in floating point, with no iteration: the weighted single-excitation forms
+reduce to the single root of a convex scalar equation, and the W + GHZ
+bipartitions to the largest singular value of an at most 3x3 matrix.
 """
 
 from __future__ import annotations
@@ -13,15 +14,12 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
+import scipy.optimize
 
 from .errors import DomainError
-from .partitions import Partition, Shape
+from .partitions import Partition, Shape, representative_partition
 
 MAX_REDUCED_K = 12
-_ASCENT_STARTS = 32
-_ASCENT_TOL = 1e-12
-_ASCENT_SWEEPS = 20000
-_START_SEED = 20080528
 
 
 @dataclass(frozen=True)
@@ -86,87 +84,53 @@ def cascade_max_f(m: int) -> tuple[float, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# multistart coordinate ascent for sum_s w_s sin(d_s) prod_{t != s} cos(d_t)
+# maximum of sum_s w_s sin(d_s) prod_{t != s} cos(d_t), in closed form
 # ---------------------------------------------------------------------------
 
-def _loo_products(arr: np.ndarray) -> np.ndarray:
-    """Leave-one-out products along the last axis."""
-    s, k = arr.shape
-    pref = np.ones((s, k))
-    suf = np.ones((s, k))
-    np.cumprod(arr[:, :-1], axis=1, out=pref[:, 1:])
-    np.cumprod(arr[:, :0:-1], axis=1, out=suf[:, -2::-1])
-    return pref * suf
+def _max_sum_product(weights) -> float:
+    """Maximum of F(d) = sum_s w_s sin(d_s) prod_{t != s} cos(d_t) over [0, pi/2]^K.
 
+    Zero weights sit at d_s = 0 and drop out of K. Let j carry the largest weight
+    and rho_s = w_s^2 / w_j^2 for s != j. A face d_s = pi/2 gives at most
+    w_s <= w_j, which the corner d_j = pi/2 attains; a face d_s = 0 is never
+    optimal, since dF/dd_s > 0 there. At an interior stationary point
+    sin(2 d_s) is proportional to w_s, and only block j can pass pi/4
+    (swapping it with a larger weight's angle would raise F). With
+    c = cos(2 d_j), stationarity is the single equation
 
-def _sum_product_value(w: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    loo = _loo_products(np.cos(angles))
-    return np.sum(w * np.sin(angles) * loo, axis=-1)
+        G(c) = c + sum_{s != j} sqrt(1 - rho_s + rho_s c^2) - (K - 2) = 0.
 
-
-def _ascent_starts(k: int, n_starts: int) -> np.ndarray:
-    starts = [np.zeros(k)]
-    for s in range(k):
-        x = np.zeros(k)
-        x[s] = np.pi / 2
-        starts.append(x)
-    for t in np.linspace(0.1, np.pi / 2 - 0.1, 8):
-        starts.append(np.full(k, t))
-    rng = np.random.default_rng(_START_SEED)
-    while len(starts) < n_starts:
-        starts.append(rng.uniform(0.0, np.pi / 2, k))
-    return np.array(starts[:max(n_starts, len(starts))])
-
-
-def _bipartition_bound(w: np.ndarray) -> float:
-    """Smallest max(sum_A w^2, sum_B w^2) over the groupings A|B of the blocks.
-
-    It is the squared bipartition value of the weighted single-excitation
-    state for each grouping, so it bounds the squared maximum from above.
-    """
-    sq = w ** 2
-    masks = np.arange(1, 2 ** (w.size - 1))
-    in_a = ((masks[:, None] >> np.arange(w.size - 1)) & 1) @ sq[:-1]
-    return float(np.min(np.maximum(in_a, np.sum(sq) - in_a)))
-
-
-def _max_sum_product(weights, n_starts: int = _ASCENT_STARTS) -> tuple[float, np.ndarray]:
-    """Maximize sum_s w_s sin(d_s) prod_{t != s} cos(d_t) over [0, pi/2]^K.
-
-    Multistart coordinate ascent; each single-angle subproblem is
-    A cos(d_u) + B sin(d_u) with A, B >= 0 and is solved exactly by line_max.
-    The one-hot corner starts are exact fixed points, so boundary maxima
-    (e.g. all weight on one block) are reproduced with no rounding drift.
-    Every start stops once the best value squared is within _ASCENT_TOL of
-    the bipartition bound, which certifies it as the maximum.
+    G is convex, G(-1) = 0 (the corner) and G(1) = 2, so it has a root in
+    (-1, 1) iff G'(-1) = 1 - sum rho_s < 0, and then only one. F is
+    evaluated at the angles of that root, so the value is attained.
     """
     w = np.asarray(weights, dtype=np.float64)
-    if np.any(w < 0):
-        raise DomainError("weights must be nonnegative")
-    k = w.size
-    if k > MAX_REDUCED_K:
-        raise DomainError(f"reduced maximization supports K <= {MAX_REDUCED_K}, got {k}")
-    if k == 1:
-        return float(w[0]), np.array([np.pi / 2])
-    bound = _bipartition_bound(w)
-    angles = _ascent_starts(k, n_starts)
-    prev = np.full(angles.shape[0], -1.0)
-    for _ in range(_ASCENT_SWEEPS):
-        for u in range(k):
-            cosines = np.cos(angles)
-            cosines[:, u] = 1.0
-            loo = _loo_products(cosines)
-            terms = w * np.sin(angles) * loo
-            terms[:, u] = 0.0
-            a_coef = np.sum(terms, axis=1)
-            b_coef = w[u] * loo[:, u]
-            angles[:, u] = np.arctan2(b_coef, a_coef)
-        value = _sum_product_value(w, angles)
-        if np.all(np.abs(value - prev) < _ASCENT_TOL) or np.max(value) ** 2 >= bound - _ASCENT_TOL:
-            break
-        prev = value
-    best = int(np.argmax(value))
-    return float(value[best]), angles[best]
+    if w.size > MAX_REDUCED_K:
+        raise DomainError(f"reduced maximization supports K <= {MAX_REDUCED_K}, got {w.size}")
+    w = w[w > 0]
+    j = int(np.argmax(w))
+    rho = np.delete(w, j) ** 2 / w[j] ** 2
+    if np.sum(rho) <= 1.0:
+        return float(w[j])
+
+    def g(c):
+        return c + np.sum(np.sqrt(1.0 - rho + rho * c * c)) - (w.size - 2)
+
+    def g_slope(c):
+        root = np.sqrt(1.0 - rho + rho * c * c)
+        # a weight tied with w_j has a kink at c = 0; 0 is a subgradient there
+        return 1.0 + np.sum(np.divide(rho * c, root, out=np.zeros_like(rho), where=root > 0))
+
+    c_min = scipy.optimize.brentq(g_slope, -1.0, 1.0, xtol=1e-16)
+    if g(c_min) >= 0.0:  # the dip below 0 is lost to rounding; the root is the corner
+        return float(w[j])
+    c = scipy.optimize.brentq(g, c_min, 1.0, xtol=1e-16)
+    sin_2dj = np.sqrt((1.0 - c) * (1.0 + c))
+    d = np.arcsin(sin_2dj * w / w[j]) / 2
+    d[j] = np.arctan2(sin_2dj, c) / 2
+    cos_others = np.where(np.eye(w.size, dtype=bool), 1.0, np.cos(d))
+    value = float(w @ (np.sin(d) * np.prod(cos_others, axis=1)))
+    return max(float(w[j]), value)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +179,13 @@ def w_trisep(m1: int, m2: int, m3: int) -> ClosedFormValue:
 
 
 def w_ksep_reduced(shape: Shape) -> ClosedFormValue:
-    """K-angle reduced maximization for the uniform single-excitation state.
+    """K-block value for the uniform single-excitation state, for any shape.
 
     After the inner cascade maximizations, block s contributes sqrt(M_s) and
-    Lambda^2 = (1/N) max over K angles of the sum-product form.
+    Lambda^2 = (1/N) max over K angles of the sum-product form, which
+    _max_sum_product solves exactly.
     """
-    value, _ = _max_sum_product(np.sqrt(np.asarray(shape.sizes, dtype=np.float64)))
+    value = _max_sum_product(np.sqrt(np.asarray(shape.sizes, dtype=np.float64)))
     return _from_float_lambda2(value ** 2 / shape.n, "w-reduced-k")
 
 
@@ -295,12 +260,13 @@ def asym_w_bisep(gamma, block_a) -> ClosedFormValue:
 
 
 def asym_w_ksep_reduced(gamma, blocks) -> ClosedFormValue:
-    """K-angle reduced maximization for per-qubit excitation weights.
+    """K-block value for per-qubit excitation weights.
 
     ``blocks`` is a Shape (contiguous blocks in order) or a Partition
     (equivalent to permuting the weights into contiguous layout first).
     Block s contributes G_s = sqrt(sum of its squared weights) and
-    Lambda^2 = N_norm^2 max over K angles of the sum-product form.
+    Lambda^2 = max over K angles of the sum-product form, squared and divided
+    by sum gamma^2; _max_sum_product solves it exactly.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     if np.any(gamma < 0):
@@ -309,22 +275,13 @@ def asym_w_ksep_reduced(gamma, blocks) -> ClosedFormValue:
     if total == 0.0:
         raise DomainError("weights are all zero")
     if isinstance(blocks, Shape):
-        if blocks.n != gamma.size:
-            raise DomainError(
-                f"shape covers {blocks.n} qubits but {gamma.size} weights given"
-            )
-        bounds = np.cumsum((0,) + blocks.sizes)
-        g_blocks = [gamma[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    elif isinstance(blocks, Partition):
-        if blocks.n != gamma.size:
-            raise DomainError(
-                f"partition covers {blocks.n} qubits but {gamma.size} weights given"
-            )
-        g_blocks = [gamma[[q - 1 for q in b]] for b in blocks.blocks]
-    else:
+        blocks = representative_partition(blocks)
+    if not isinstance(blocks, Partition):
         raise DomainError("blocks must be a Shape or a Partition")
-    weights = np.array([np.sqrt(np.sum(gb ** 2)) for gb in g_blocks])
-    value, _ = _max_sum_product(weights)
+    if blocks.n != gamma.size:
+        raise DomainError(f"blocks cover {blocks.n} qubits but {gamma.size} weights given")
+    weights = np.array([np.sqrt(np.sum(gamma[[q - 1 for q in b]] ** 2)) for b in blocks.blocks])
+    value = _max_sum_product(weights)
     return _from_float_lambda2(value ** 2 / total, "asymw-reduced-k")
 
 
@@ -332,93 +289,27 @@ def asym_w_ksep_reduced(gamma, blocks) -> ClosedFormValue:
 # W + GHZ superposition, bipartitions
 # ---------------------------------------------------------------------------
 
-def _wghz_objective(eta: float, m1: int, m2: int):
-    n = m1 + m2
-    ce = np.cos(eta) / np.sqrt(n)
-    se = np.sin(eta) / np.sqrt(2.0)
-    r1 = np.sqrt(m1)
-    r2 = np.sqrt(m2)
-
-    def parts(a, b, m, root):
-        # (single-excitation sum S, all-ones corner C) for one block
-        if m == 1:
-            s = np.sin(a)
-            return s, s
-        return root * np.sin(a) * np.sin(b), np.sin(a) * np.cos(b)
-
-    def value(angles):
-        a1, b1, a2, b2 = (angles[..., i] for i in range(4))
-        s1, c1 = parts(a1, b1, m1, r1)
-        s2, c2 = parts(a2, b2, m2, r2)
-        return ce * (np.cos(a1) * s2 + np.cos(a2) * s1) + se * (
-            np.cos(a1) * np.cos(a2) + c1 * c2
-        )
-
-    return value, (ce, se, r1, r2)
-
-
 def wghz_bisep_reduced(eta: float, m1: int, m2: int) -> ClosedFormValue:
     """Bipartition value for cos(eta) W + sin(eta) GHZ on M1 + M2 qubits.
 
-    Reduced to at most four angles (two per block; a size-1 block has a
-    single angle because its excitation amplitude and its all-ones corner
-    are the same coefficient). Maximized by multistart coordinate ascent
-    with exact single-angle updates.
+    In each block the state lies in the orthonormal span of |0...0>, |W_M>
+    and |1...1> (for M = 1 the last two are the same ket |1>). With
+    c = cos(eta)/sqrt(N) and s = sin(eta)/sqrt(2) its coefficient matrix in
+    these bases has s at the all-zeros and all-ones corners and c sqrt(M1),
+    c sqrt(M2) at the single excitations; Lambda^2 is its largest squared
+    singular value.
     """
     if not 0.0 <= eta <= np.pi / 2 + 1e-12:
         raise DomainError(f"eta={eta} outside [0, pi/2]")
     if m1 < 1 or m2 < 1:
         raise DomainError("block sizes must be >= 1")
-    value_fn, (ce, se, r1, r2) = _wghz_objective(eta, m1, m2)
-
-    corners = np.array([
-        [0.0, 0.0, np.pi / 2, np.pi / 2],
-        [np.pi / 2, np.pi / 2, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [np.pi / 2, 0.0, np.pi / 2, 0.0],
-    ])
-    diag = np.array([np.full(4, t) for t in np.linspace(0.1, np.pi / 2 - 0.1, 8)])
-    rng = np.random.default_rng(_START_SEED)
-    rand = rng.uniform(0.0, np.pi / 2, (12, 4))
-    angles = np.vstack([corners, diag, rand])
-
-    def block_terms(a, b, m, root):
-        if m == 1:
-            return np.sin(a), np.sin(a)
-        return root * np.sin(a) * np.sin(b), np.sin(a) * np.cos(b)
-
-    prev = np.full(angles.shape[0], -1.0)
-    for _ in range(_ASCENT_SWEEPS):
-        a1, b1, a2, b2 = (angles[:, i] for i in range(4))
-        # a1
-        s2, c2 = block_terms(a2, b2, m2, r2)
-        a_coef = ce * s2 + se * np.cos(a2)
-        if m1 == 1:
-            b_coef = ce * np.cos(a2) + se * c2
-        else:
-            b_coef = ce * np.cos(a2) * r1 * np.sin(b1) + se * np.cos(b1) * c2
-        angles[:, 0] = a1 = np.arctan2(b_coef, a_coef)
-        # b1
-        if m1 > 1:
-            a_coef = se * np.sin(a1) * c2
-            b_coef = ce * np.cos(a2) * r1 * np.sin(a1)
-            angles[:, 1] = b1 = np.arctan2(b_coef, a_coef)
-        # a2
-        s1, c1 = block_terms(a1, b1, m1, r1)
-        a_coef = ce * s1 + se * np.cos(a1)
-        if m2 == 1:
-            b_coef = ce * np.cos(a1) + se * c1
-        else:
-            b_coef = ce * np.cos(a1) * r2 * np.sin(b2) + se * np.cos(b2) * c1
-        angles[:, 2] = a2 = np.arctan2(b_coef, a_coef)
-        # b2
-        if m2 > 1:
-            a_coef = se * np.sin(a2) * c1
-            b_coef = ce * np.cos(a1) * r2 * np.sin(a2)
-            angles[:, 3] = np.arctan2(b_coef, a_coef)
-        value = value_fn(angles)
-        if np.all(np.abs(value - prev) < _ASCENT_TOL):
-            break
-        prev = value
-    best = float(np.max(value))
-    return _from_float_lambda2(best ** 2, "wghz-reduced-2")
+    c = np.cos(eta) / np.sqrt(m1 + m2)
+    s = np.sin(eta) / np.sqrt(2.0)
+    ones1, ones2 = min(m1, 2), min(m2, 2)  # index of |1...1> in each basis
+    coefficients = np.zeros((ones1 + 1, ones2 + 1))
+    coefficients[0, 0] = s
+    coefficients[1, 0] = c * np.sqrt(m1)
+    coefficients[0, 1] = c * np.sqrt(m2)
+    coefficients[ones1, ones2] = s
+    sigma = np.linalg.svd(coefficients, compute_uv=False)[0]
+    return _from_float_lambda2(float(sigma ** 2), "wghz-reduced-2")

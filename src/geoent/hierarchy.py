@@ -11,12 +11,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from . import closedform
 from .errors import DomainError, ResourceCapError
-from .optimizer import OptimizerConfig, OverlapResult, best_overlap
+from .optimizer import OptimizerConfig, best_overlap
 from .partitions import Partition, Shape, representative_partition, set_partitions, shapes
 from .states import PureState, ghz, magnon, permute_qubits, superpose, w, w_tilde3
 
@@ -44,22 +45,11 @@ def is_symmetric(psi: PureState, tol: float = SYMMETRY_TOL) -> bool:
     return True
 
 
-def egk_relative(psi: PureState, partition: Partition, config: OptimizerConfig | None = None) -> OverlapResult:
-    """Partition-dependent measure E_G^(K)(Q_1|...|Q_K) = 1 - Lambda_K^2."""
-    return best_overlap(psi, partition, config)
-
-
-def _relative_e_task(args):
-    amps, n, blocks, config = args
-    return best_overlap(PureState(n, np.asarray(amps)), Partition(blocks), config).e_g
-
-
 def _relative_values(psi, partitions, config, workers):
     if workers <= 1 or len(partitions) <= 1:
         return [best_overlap(psi, p, config).e_g for p in partitions]
-    tasks = [(psi.amplitudes, psi.num_qubits, p.blocks, config) for p in partitions]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_relative_e_task, tasks))
+        return [r.e_g for r in pool.map(best_overlap, repeat(psi), partitions, repeat(config))]
 
 
 @dataclass(frozen=True)
@@ -256,7 +246,7 @@ def sweep_eta(family: str, etas, config: OptimizerConfig | None = None, *,
     family 'w_w_tilde' / 'w_ghz3': 3-qubit superpositions with relative phase
     ``phi``; ``k`` selects E^(2) (bipartition 1|2) or E^(3) (full separability),
     computed with the numeric optimizer. family 'wghz': E^(2)(m1 | n-m1) of the
-    real N-qubit superposition via the reduced 4-angle closed form.
+    real N-qubit superposition via its closed form (an at most 3x3 SVD).
     """
     config = config or OptimizerConfig()
     etas = [float(e) for e in etas]

@@ -1,4 +1,4 @@
-"""Hyperspherical coordinates for nonnegative unit vectors, plus slot orderings.
+"""Hyperspherical coordinates for nonnegative unit vectors.
 
 A d-dimensional nonnegative unit vector is generated from d-1 angles
 delta_L in [0, pi/2]:
@@ -13,13 +13,9 @@ coefficients carry a separate phase list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
-
-_TAIL_EPS = 1e-15
 
 
 def angles_to_amplitudes(angles) -> np.ndarray:
@@ -35,80 +31,3 @@ def angles_to_amplitudes(angles) -> np.ndarray:
         prefix *= np.sin(angles[L])
     v[d - 1] = prefix
     return v
-
-
-def amplitudes_to_angles(v) -> np.ndarray:
-    """Inverse of angles_to_amplitudes for nonnegative unit vectors.
-
-    Computed from tail norms, so the round trip is stable to ~1e-9 even for
-    small components. Where the sin-prefix underflows the remaining angles
-    are set to 0 (the parametrization is degenerate there).
-    """
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.size < 1:
-        raise DomainError("need at least one component")
-    if np.min(v) < 0.0:
-        raise DomainError("components must be nonnegative")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-10:
-        raise DomainError(f"vector is not unit norm: |v| = {norm!r}")
-    d = v.size
-    tail = np.sqrt(np.cumsum(v[::-1] ** 2)[::-1])
-    angles = np.zeros(d - 1)
-    for L in range(d - 1):
-        if tail[L] < _TAIL_EPS:
-            break
-        angles[L] = np.arctan2(tail[L + 1], v[L])
-    return angles
-
-
-@dataclass(frozen=True)
-class IndexMapping:
-    """Bijection between hyperspherical slots L and amplitude indices J."""
-
-    slot_to_index: tuple[int, ...]
-
-    def __post_init__(self):
-        mapping = tuple(int(j) for j in self.slot_to_index)
-        object.__setattr__(self, "slot_to_index", mapping)
-        if sorted(mapping) != list(range(len(mapping))):
-            raise DomainError("slot_to_index must be a permutation of 0..d-1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.slot_to_index)
-
-    @property
-    def index_to_slot(self) -> tuple[int, ...]:
-        inverse = [0] * self.dim
-        for slot, j in enumerate(self.slot_to_index):
-            inverse[j] = slot
-        return tuple(inverse)
-
-    def apply(self, v_slots) -> np.ndarray:
-        """Scatter slot-ordered values into amplitude-index order."""
-        v_slots = np.asarray(v_slots)
-        if v_slots.shape[-1] != self.dim:
-            raise DomainError(f"expected {self.dim} slot values")
-        out = np.empty_like(v_slots)
-        out[..., list(self.slot_to_index)] = v_slots
-        return out
-
-
-def identity_mapping(d: int) -> IndexMapping:
-    if d < 1:
-        raise DomainError("dimension must be >= 1")
-    return IndexMapping(tuple(range(d)))
-
-
-def excitation_order_mapping(m: int) -> IndexMapping:
-    """Order the 2^m amplitude indices by growing excitation number.
-
-    Slot 0 is the ground index J=0, slots 1..m the single excitations 2^p in
-    increasing p, then the two-excitation indices 2^q + 2^s in increasing J,
-    and so on; within each excitation number indices increase.
-    """
-    if m < 1:
-        raise DomainError("qubit count must be >= 1")
-    order = sorted(range(2 ** m), key=lambda j: (j.bit_count(), j))
-    return IndexMapping(tuple(order))

@@ -56,10 +56,6 @@ class Shape:
         return Shape(tuple(m * l for m in self.sizes))
 
 
-def scale_shape(shape: Shape, l: int) -> Shape:
-    return shape.scaled(l)
-
-
 @dataclass(frozen=True)
 class Partition:
     """Canonical K-block set partition of the qubit labels {1..N}."""
@@ -107,10 +103,6 @@ class Partition:
 
     def sort_key(self):
         return (self.shape.sizes, self.blocks)
-
-
-def shape_of(partition: Partition) -> Shape:
-    return partition.shape
 
 
 def shapes(n: int, k: int) -> list[Shape]:

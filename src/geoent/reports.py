@@ -21,6 +21,7 @@ from . import closedform
 from .closedform import cascade_f, cascade_max_f, line_max
 from .errors import DomainError
 from .hierarchy import (
+    DEGENERACY_TOL,
     egk_absolute,
     full_hierarchy,
     is_symmetric,
@@ -42,7 +43,6 @@ from .states import (
 
 EXACT_TOL = 1e-7
 PRINTED_TOL = 5e-4
-DEGENERACY_TOL = 1e-9
 # The 1|2|3 oracle grids four parameters; at 16 points per axis it takes
 # about 0.13 s per state and, after its local polish, has stayed within 2e-4
 # of the ascent (the check allows 1e-3).
@@ -555,7 +555,7 @@ def _check_scale(config):
     return [CheckResult("8", "scale-invariance", ok, tuple(lines))]
 
 
-def _check_figures(config, workers):
+def _check_figures(config):
     lines = []
     ok = True
     target = float(closedform.w_full_separable(3).e_g)
@@ -589,7 +589,7 @@ def _check_figures(config, workers):
     return [CheckResult("9", "figure-curves", ok, tuple(lines))]
 
 
-def _check_oracle(config, workers):
+def _check_oracle(config):
     # 1|2,3 is solved by an SVD; 1|2|3 keeps the multistart ascent under test.
     cases = (
         (Partition(((1,), (2, 3))), config.grid_resolution,
@@ -623,7 +623,7 @@ def _dense_grid_cascade_max(m: int, points: int = 8) -> float:
     return float(-res.fun)
 
 
-def _check_lemmas(config, workers):
+def _check_lemmas(config):
     lines = []
     ok = True
     for m in range(1, 7):
@@ -656,9 +656,9 @@ _SUITES = {
     "fullsep": lambda cfg, kw: _check_fullsep(cfg, kw["workers"]),
     "monotonicity": lambda cfg, kw: _check_monotonicity(cfg, kw["workers"], kw["monotonicity_states"]),
     "scale": lambda cfg, kw: _check_scale(cfg),
-    "figures": lambda cfg, kw: _check_figures(cfg, kw["workers"]),
-    "oracle": lambda cfg, kw: _check_oracle(cfg, kw["workers"]),
-    "lemmas": lambda cfg, kw: _check_lemmas(cfg, kw["workers"]),
+    "figures": lambda cfg, kw: _check_figures(cfg),
+    "oracle": lambda cfg, kw: _check_oracle(cfg),
+    "lemmas": lambda cfg, kw: _check_lemmas(cfg),
 }
 
 SUITE_NAMES = tuple(_SUITES)

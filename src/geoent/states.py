@@ -230,24 +230,6 @@ def permute_qubits(psi: PureState, sigma) -> PureState:
     return PureState(n, amps)
 
 
-def split_index(j: int, m1: int, m2: int) -> tuple[int, int]:
-    """Split J = 2^m2 * J1 + J2 into the two block indices (J1, J2)."""
-    if m1 < 0 or m2 < 0:
-        raise DomainError("block sizes must be nonnegative")
-    if not 0 <= j < 2 ** (m1 + m2):
-        raise IndexError(f"index J={j} out of range for m1+m2={m1 + m2} qubits")
-    return j >> m2, j & ((1 << m2) - 1)
-
-
-def join_index(j1: int, j2: int, m1: int, m2: int) -> int:
-    """Inverse of split_index: J = 2^m2 * J1 + J2."""
-    if not 0 <= j1 < 2 ** m1:
-        raise IndexError(f"J1={j1} out of range for m1={m1}")
-    if not 0 <= j2 < 2 ** m2:
-        raise IndexError(f"J2={j2} out of range for m2={m2}")
-    return (j1 << m2) | j2
-
-
 def random_state(n: int, rng) -> PureState:
     """Haar-random pure state on n qubits; ``rng`` is a seed or a Generator."""
     _check_num_qubits(n)

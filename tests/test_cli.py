@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 import geoent as ge
-from geoent import hierarchy, reports
+from geoent import cli, reports
 from geoent.cli import NUMERIC_ERROR, main
 
 
@@ -107,7 +107,7 @@ class TestEgkCommand:
         def fault(*args, **kwargs):
             raise ge.NumericalFaultError("ascent monotonicity violated; numerical fault")
 
-        monkeypatch.setattr(hierarchy, "best_overlap", fault)
+        monkeypatch.setattr(cli, "best_overlap", fault)
         assert run("egk", w4_file, "--k", 3, "--partition", "1|2|3,4") == NUMERIC_ERROR == 4
         assert "error: ascent monotonicity violated" in capsys.readouterr().err
 

@@ -2,9 +2,45 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import geoent as ge
 from geoent.errors import DomainError
+
+# A K = 3 case where a multistart coordinate ascent falls 3.7e-10 short in lambda^2.
+ASCENT_SHORTFALL_GAMMA = (0.60851655, 0.77556503, 0.98562202)
+
+
+def _sum_product(w, deltas):
+    """F(d) = sum_s w_s sin(d_s) prod_{t != s} cos(d_t), batched over leading axes."""
+    cos_d = np.cos(deltas)
+    loo = np.stack([np.prod(np.delete(cos_d, s, axis=-1), axis=-1) for s in range(len(w))], -1)
+    return np.sum(w * np.sin(deltas) * loo, axis=-1)
+
+
+def _grid_max_sum_product(w, points=24):
+    """Dense grid over [0, pi/2]^K, then a Powell polish from the best point."""
+    axes = [np.linspace(0.0, np.pi / 2, points)] * len(w)
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(w))
+    best = mesh[int(np.argmax(_sum_product(w, mesh)))]
+    res = scipy.optimize.minimize(lambda d: -_sum_product(w, d), best,
+                                  method="Powell", bounds=[(0.0, np.pi / 2)] * len(w),
+                                  options={"xtol": 1e-10, "ftol": 1e-15})
+    return float(-res.fun)
+
+
+def _circumradius_lambda2(gamma):
+    """lambda^2 of the weighted single-excitation state on 1|1|1, by w_trisep's formula."""
+    m1, m2, m3 = sorted(float(g) ** 2 for g in gamma)
+    if m3 >= m1 + m2:
+        return m3 / (m1 + m2 + m3)
+    sigma = 2 * (m1 * m2 + m1 * m3 + m2 * m3) - m1 ** 2 - m2 ** 2 - m3 ** 2
+    return 4 * m1 * m2 * m3 / (sigma * (m1 + m2 + m3))
+
+
+def _matches_circumradius(gamma, shift=0.0):
+    value = ge.asym_w_ksep_reduced(gamma, ge.Shape((1, 1, 1))).lambda2
+    return abs(value - (_circumradius_lambda2(gamma) + shift)) <= 1e-13
 
 
 class TestGhz:
@@ -84,10 +120,13 @@ class TestWKsepReduced:
         ((1, 1, 1, 1), Fraction(37, 64)),
         ((1, 1, 1, 3), Fraction(1, 2)),
         ((2, 2, 2), Fraction(5, 9)),
+    ] + [
+        # full separability: 1 - ((N-1)/N)^(N-1)
+        ((1,) * n, 1 - Fraction((n - 1) ** (n - 1), n ** (n - 1))) for n in range(2, 13)
     ])
     def test_matches_exact_routes(self, sizes, expected):
         value = ge.w_ksep_reduced(ge.Shape(sizes))
-        assert value.e_g == pytest.approx(float(expected), abs=1e-9)
+        assert value.e_g == pytest.approx(float(expected), abs=1e-14)
 
     @pytest.mark.parametrize("sizes,printed", [
         ((1, 1, 1, 2), 0.559),
@@ -184,6 +223,33 @@ class TestAsymWKsepReduced:
         with pytest.raises(DomainError):
             ge.asym_w_ksep_reduced((1, 1, 1), ge.Shape((1, 3)))
 
+    @pytest.mark.parametrize("gamma", [
+        ASCENT_SHORTFALL_GAMMA,
+        # sum of the smaller squared weights = largest squared weight * (1 +- 1e-6),
+        # on both sides of the boundary where the interior maximum appears
+        *[(1.0, np.sqrt(a * (1 + eps)), np.sqrt((1 - a) * (1 + eps)))
+          for a in (0.5, 0.3) for eps in (1e-6, -1e-6)],
+    ])
+    def test_circumradius_at_k3(self, gamma):
+        assert _matches_circumradius(gamma)
+
+    def test_circumradius_at_k3_random(self):
+        rng = np.random.default_rng(11)
+        for gamma in rng.uniform(0.0, 1.0, (300, 3)):
+            assert _matches_circumradius(gamma), gamma
+
+    def test_circumradius_check_rejects_1e9_error(self):
+        assert not _matches_circumradius(ASCENT_SHORTFALL_GAMMA, shift=-1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dense_grid_never_exceeds(self, k):
+        rng = np.random.default_rng(k)
+        for w in rng.uniform(0.0, 1.0, (15, k)):
+            exact = np.sqrt(ge.asym_w_ksep_reduced(w, ge.Shape((1,) * k)).lambda2 * np.sum(w ** 2))
+            grid = _grid_max_sum_product(w)
+            assert grid <= exact + 1e-12
+            assert grid >= exact - 1e-9
+
 
 class TestWghzBisepReduced:
     @pytest.mark.parametrize("m1,m2", [(1, 3), (2, 2), (2, 4), (1, 1)])
@@ -209,6 +275,16 @@ class TestWghzBisepReduced:
     def test_eta_range(self):
         with pytest.raises(DomainError):
             ge.wghz_bisep_reduced(2.0, 1, 2)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_full_state_svd(self, n):
+        for eta in np.linspace(0.0, np.pi / 2, 17):
+            psi = ge.superpose(np.cos(eta), ge.w(n), np.sin(eta), 0.0, ge.ghz(n))
+            for m1 in range(1, n):
+                sigma = np.linalg.svd(psi.amplitudes.reshape(2 ** m1, 2 ** (n - m1)),
+                                      compute_uv=False)[0]
+                value = ge.wghz_bisep_reduced(eta, m1, n - m1).lambda2
+                assert value == pytest.approx(sigma ** 2, abs=1e-14)
 
 
 class TestCascade:

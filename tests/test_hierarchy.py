@@ -23,18 +23,18 @@ class TestIsSymmetric:
 class TestRelative:
     def test_w6_shape_2_4(self, config):
         partition = ge.representative_partition(ge.Shape((2, 4)))
-        result = ge.egk_relative(ge.w(6), partition, config)
+        result = ge.best_overlap(ge.w(6), partition, config)
         assert result.e_g == pytest.approx(1 / 3, abs=1e-9)
 
     def test_w6_shape_1_2_3(self, config):
         partition = ge.representative_partition(ge.Shape((1, 2, 3)))
-        result = ge.egk_relative(ge.w(6), partition, config)
+        result = ge.best_overlap(ge.w(6), partition, config)
         assert result.e_g == pytest.approx(0.5, abs=1e-9)
 
     def test_magnon_1_1_2_dual_route(self, config):
         partition = ge.representative_partition(ge.Shape((1, 1, 2)))
         psi = ge.magnon(4, 2)
-        ascent = ge.egk_relative(psi, partition, config)
+        ascent = ge.best_overlap(psi, partition, config)
         oracle = ge.grid_oracle(psi, partition, 20)
         assert ascent.e_g == pytest.approx(oracle.e_g, abs=1e-4)
         assert ascent.e_g == pytest.approx(0.583, abs=5e-4)
@@ -113,10 +113,10 @@ class TestFullHierarchy:
 
     def test_w6_relative_ordering_exception(self, config):
         # relative values may invert across K while the absolute law holds
-        rel_222 = ge.egk_relative(
+        rel_222 = ge.best_overlap(
             ge.w(6), ge.representative_partition(ge.Shape((2, 2, 2))), config
         ).e_g
-        rel_1113 = ge.egk_relative(
+        rel_1113 = ge.best_overlap(
             ge.w(6), ge.representative_partition(ge.Shape((1, 1, 1, 3))), config
         ).e_g
         assert rel_222 == pytest.approx(5 / 9, abs=1e-9)

@@ -33,83 +33,3 @@ class TestForward:
         v = ge.angles_to_amplitudes(angles)
         assert np.min(v) >= 0.0
         assert np.sum(v ** 2) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestInverse:
-    def test_basis_vector(self):
-        assert np.array_equal(ge.amplitudes_to_angles([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
-
-    def test_two_dim(self):
-        angles = ge.amplitudes_to_angles([1 / np.sqrt(2), 1 / np.sqrt(2)])
-        assert angles == pytest.approx([np.pi / 4], abs=1e-15)
-
-    @pytest.mark.parametrize("d", [2, 3, 8, 16])
-    def test_round_trip_strictly_positive(self, d):
-        rng = np.random.default_rng(d)
-        for _ in range(20):
-            v = rng.uniform(0.05, 1.0, d)
-            v /= np.linalg.norm(v)
-            back = ge.angles_to_amplitudes(ge.amplitudes_to_angles(v))
-            assert back == pytest.approx(v, abs=1e-9)
-
-    def test_round_trip_with_zeros(self):
-        v = np.array([0.0, 0.6, 0.0, 0.8])
-        back = ge.angles_to_amplitudes(ge.amplitudes_to_angles(v))
-        assert back == pytest.approx(v, abs=1e-12)
-
-    def test_degenerate_tail(self):
-        angles = ge.amplitudes_to_angles([0.6, 0.8, 0.0, 0.0])
-        back = ge.angles_to_amplitudes(angles)
-        assert back == pytest.approx([0.6, 0.8, 0.0, 0.0], abs=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            ge.amplitudes_to_angles([0.8, -0.6])
-
-    def test_norm_rejected(self):
-        with pytest.raises(DomainError):
-            ge.amplitudes_to_angles([0.5, 0.5])
-
-    @given(angle_lists.filter(lambda a: len(a) >= 1))
-    def test_forward_inverse_forward(self, angles):
-        v = ge.angles_to_amplitudes(angles)
-        back = ge.angles_to_amplitudes(ge.amplitudes_to_angles(v))
-        assert back == pytest.approx(v, abs=1e-9)
-
-
-class TestIndexMapping:
-    def test_identity(self):
-        m = ge.identity_mapping(8)
-        assert m.slot_to_index == tuple(range(8))
-        assert m.index_to_slot == tuple(range(8))
-
-    def test_excitation_order_m2(self):
-        assert ge.excitation_order_mapping(2).slot_to_index == (0, 1, 2, 3)
-
-    def test_excitation_order_m3(self):
-        m = ge.excitation_order_mapping(3)
-        assert m.slot_to_index[0] == 0
-        assert m.slot_to_index[1:4] == (1, 2, 4)
-        assert m.slot_to_index[4:7] == (3, 5, 6)
-        assert m.slot_to_index[7] == 7
-
-    def test_excitation_order_m1(self):
-        assert ge.excitation_order_mapping(1).slot_to_index == (0, 1)
-
-    @pytest.mark.parametrize("m", range(1, 7))
-    def test_bijection_and_grading(self, m):
-        mapping = ge.excitation_order_mapping(m)
-        assert sorted(mapping.slot_to_index) == list(range(2 ** m))
-        pops = [int(j).bit_count() for j in mapping.slot_to_index]
-        assert pops == sorted(pops)
-
-    def test_apply_scatters(self):
-        mapping = ge.excitation_order_mapping(2)
-        slots = np.array([10.0, 11.0, 12.0, 13.0])
-        r = mapping.apply(slots)
-        for slot, j in enumerate(mapping.slot_to_index):
-            assert r[j] == slots[slot]
-
-    def test_invalid_permutation(self):
-        with pytest.raises(DomainError):
-            ge.IndexMapping((0, 0, 1))

@@ -59,11 +59,11 @@ class TestShapes:
         assert ge.Shape.from_text("1|2|3") == shape
 
     def test_scale(self):
-        assert ge.scale_shape(ge.Shape((1, 2)), 2) == ge.Shape((2, 4))
-        assert ge.scale_shape(ge.Shape((1, 2)), 1) == ge.Shape((1, 2))
-        assert ge.scale_shape(ge.Shape((2, 2, 2)), 3) == ge.Shape((6, 6, 6))
+        assert ge.Shape((1, 2)).scaled(2) == ge.Shape((2, 4))
+        assert ge.Shape((1, 2)).scaled(1) == ge.Shape((1, 2))
+        assert ge.Shape((2, 2, 2)).scaled(3) == ge.Shape((6, 6, 6))
         with pytest.raises(DomainError):
-            ge.scale_shape(ge.Shape((1, 2)), 0)
+            ge.Shape((1, 2)).scaled(0)
 
 
 class TestSetPartitions:
@@ -126,9 +126,9 @@ class TestPartition:
         assert p.n == 6 and p.k == 3
 
     def test_shape_of(self):
-        assert ge.shape_of(ge.Partition(((2,), (1, 3)))) == ge.Shape((1, 2))
-        assert ge.shape_of(ge.Partition(((1, 2), (3, 4)))) == ge.Shape((2, 2))
-        assert ge.shape_of(ge.Partition(((1,), (2,), (3, 4, 5, 6)))) == ge.Shape((1, 1, 4))
+        assert ge.Partition(((2,), (1, 3))).shape == ge.Shape((1, 2))
+        assert ge.Partition(((1, 2), (3, 4))).shape == ge.Shape((2, 2))
+        assert ge.Partition(((1,), (2,), (3, 4, 5, 6))).shape == ge.Shape((1, 1, 4))
 
     def test_rejects_duplicates(self):
         with pytest.raises(DomainError):

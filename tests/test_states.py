@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import geoent as ge
 from geoent.errors import (
@@ -193,32 +192,6 @@ class TestPermuteQubits:
     def test_invalid(self):
         with pytest.raises(DomainError):
             ge.permute_qubits(ge.w(3), (1, 1, 2))
-
-
-class TestSplitIndex:
-    def test_examples(self):
-        assert ge.split_index(5, 1, 2) == (1, 1)
-        assert ge.split_index(0, 3, 2) == (0, 0)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            ge.split_index(8, 1, 2)
-
-    @pytest.mark.parametrize("m1,m2", [(1, 2), (2, 2), (3, 4), (5, 5), (1, 7), (4, 4)])
-    def test_bijection_exhaustive(self, m1, m2):
-        seen = set()
-        for j in range(2 ** (m1 + m2)):
-            j1, j2 = ge.split_index(j, m1, m2)
-            assert 0 <= j1 < 2 ** m1 and 0 <= j2 < 2 ** m2
-            assert ge.join_index(j1, j2, m1, m2) == j
-            seen.add((j1, j2))
-        assert len(seen) == 2 ** (m1 + m2)
-
-    @given(st.integers(0, 5), st.integers(0, 5), st.data())
-    def test_roundtrip_property(self, m1, m2, data):
-        j = data.draw(st.integers(0, 2 ** (m1 + m2) - 1))
-        j1, j2 = ge.split_index(j, m1, m2)
-        assert ge.join_index(j1, j2, m1, m2) == j
 
 
 class TestPureState:
