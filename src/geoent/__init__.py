@@ -47,6 +47,7 @@ from .optimizer import (
     OverlapResult,
     ProductState,
     best_overlap,
+    best_overlaps,
     grid_oracle,
 )
 from .partitions import (

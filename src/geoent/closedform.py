@@ -19,8 +19,6 @@ import scipy.optimize
 from .errors import DomainError
 from .partitions import Partition, Shape, representative_partition
 
-MAX_REDUCED_K = 12
-
 
 @dataclass(frozen=True)
 class ClosedFormValue:
@@ -105,8 +103,6 @@ def _max_sum_product(weights) -> float:
     evaluated at the angles of that root, so the value is attained.
     """
     w = np.asarray(weights, dtype=np.float64)
-    if w.size > MAX_REDUCED_K:
-        raise DomainError(f"reduced maximization supports K <= {MAX_REDUCED_K}, got {w.size}")
     w = w[w > 0]
     j = int(np.argmax(w))
     rho = np.delete(w, j) ** 2 / w[j] ** 2

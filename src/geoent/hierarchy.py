@@ -17,7 +17,7 @@ import numpy as np
 
 from . import closedform
 from .errors import DomainError, ResourceCapError
-from .optimizer import OptimizerConfig, best_overlap
+from .optimizer import OptimizerConfig, best_overlap, best_overlaps
 from .partitions import Partition, Shape, representative_partition, set_partitions, shapes
 from .states import PureState, ghz, magnon, permute_qubits, superpose, w, w_tilde3
 
@@ -46,10 +46,18 @@ def is_symmetric(psi: PureState, tol: float = SYMMETRY_TOL) -> bool:
 
 
 def _relative_values(psi, partitions, config, workers):
-    if workers <= 1 or len(partitions) <= 1:
-        return [best_overlap(psi, p, config).e_g for p in partitions]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r.e_g for r in pool.map(best_overlap, repeat(psi), partitions, repeat(config))]
+    """E per partition: one ``best_overlaps`` batch per shape, mapped by the pool."""
+    batches = {}
+    for p in partitions:
+        batches.setdefault(p.shape, []).append(p)
+    states = [[psi] * len(b) for b in batches.values()]
+    if workers <= 1 or len(batches) <= 1:
+        results = map(best_overlaps, states, batches.values(), repeat(config))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(best_overlaps, states, batches.values(), repeat(config)))
+    e_g = {p: r.e_g for batch, rs in zip(batches.values(), results) for p, r in zip(batch, rs)}
+    return [e_g[p] for p in partitions]
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ factors, with the largest singular value as the overlap modulus. For odd K
 a sweep first sets the largest block alone to the normalized contraction of
 the state against the others, which is its optimal factor; then it takes
 the pairs from the smallest block up. Every step is exact, so the ascent is
-monotone. Restarts are batched along a leading axis and run vectorized;
-they matter only here.
+monotone. ``best_overlaps`` runs problems whose blocks have equal
+dimensions (one shape's partitions in a hierarchy scan) as one vectorized
+ascent over every problem's restarts; each problem keeps its own starts,
+RNG and stops. Restarts matter only here.
 Every bipartition that coarsens the partition has a larger separable set,
 so the smallest of their sigma_max^2 bounds Lambda^2 from above. This bound
 is reported as ``upper_bound``, and once the best restart meets it within
@@ -289,67 +291,103 @@ def _conj_outer(factors: list[np.ndarray], blocks: list[int], idx: np.ndarray) -
     return out
 
 
+def _top_eigvecs(gram: np.ndarray) -> np.ndarray:
+    """Unit top eigenvectors of stacked Gram matrices; batched eigh beyond 2x2.
+
+    For [[a, b], [conj(b), c]], with h = (a - c)/2 and t = |h| + sqrt(h^2 + |b|^2),
+    it is (t, conj(b)) if h >= 0, else (b, t); t = 0 (a multiple of I) gives (1, 0).
+    """
+    if gram.shape[-1] != 2:
+        return np.linalg.eigh(gram)[1][:, :, -1]
+    a, b, c = gram[:, 0, 0].real, gram[:, 0, 1], gram[:, 1, 1].real
+    h = (a - c) / 2
+    t = np.abs(h) + np.hypot(h, np.abs(b))
+    v = np.empty((gram.shape[0], 2), dtype=np.complex128)
+    v[:, 0] = np.where(h >= 0, np.where(t > 0, t, 1.0), b)
+    v[:, 1] = np.where(h >= 0, b.conj(), t)
+    return v / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=1))[:, None]
+
+
+def _exact_overlap(psi_k: np.ndarray, partition: Partition) -> OverlapResult:
+    """K = 1 is the state itself; K = 2 is one SVD."""
+    if psi_k.ndim == 1:
+        product = ProductState(partition, (_gauge_fix(psi_k.reshape(1, -1))[0],))
+        return OverlapResult(1.0, 0.0, product, partition, 0, True, 0, upper_bound=1.0)
+    u, s, vh = np.linalg.svd(psi_k, full_matrices=False)
+    best = min(float(s[0]) ** 2, 1.0)
+    product = ProductState(partition, (_gauge_fix(u[:, :1].T)[0], _gauge_fix(vh[:1])[0]))
+    return OverlapResult(best, 1.0 - best, product, partition, 0, True, 0, upper_bound=best)
+
+
 def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig | None = None) -> OverlapResult:
-    """Lambda_K^2 on a fixed partition: an SVD for K = 2, else multistart ascent.
+    """Lambda_K^2 on a fixed partition: ``best_overlaps`` on a batch of one."""
+    return best_overlaps([psi], [partition], config)[0]
+
+
+def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> list[OverlapResult]:
+    """Lambda_K^2 of each (state, partition) problem whose blocks have the
+    same dimensions in block order: an SVD for K <= 2, else one multistart
+    ascent over every problem's restarts at once.
 
     For K >= 3 one iteration is one sweep of ceil(K/2) exact steps. For odd
     K the sweep first sets the largest block to its normalized contraction
     with the other factors. Then each pair of blocks, from the smallest up,
     is set to the leading singular pair of the state contracted with every
-    other factor (a batched eigh of its Gram matrix on the smaller side,
-    then one matvec). Each step is one matrix product of the other factors'
-    outer product against a state matrix built once per call.
+    other factor: the top eigenvector of its Gram matrix on the smaller side
+    (closed form for a qubit, else batched eigh), then one matvec. Each step
+    is one stacked product of every active restart's outer product of the
+    other factors against its own problem's state matrix.
 
-    A restart stops when its squared overlap improves by less than
-    ``config.tol`` over a sweep, and every restart stops once the best one
-    is within ``config.tol`` of the coarsening bound (the winner then counts
-    as converged at that sweep). The returned result is the highest value
-    across restarts (ties broken by lowest restart index) and is
+    Each problem keeps its own starts, RNG, coarsening bound and stops, so
+    its result does not depend on the rest of the batch. A restart stops
+    when its squared overlap improves by less than ``config.tol`` over a
+    sweep; all of a problem's restarts stop once its best is within
+    ``config.tol`` of the bound (the winner then counts as converged). Each
+    result is the best of its restarts (ties to the lowest index) and is
     deterministic for a fixed seed.
     """
     config = config or OptimizerConfig()
-    psi_k = _blocked_tensor(psi, partition)
-    dims = list(psi_k.shape)
+    tensors = [_blocked_tensor(psi, p) for psi, p in zip(states, partitions, strict=True)]
+    dims = list(tensors[0].shape)
+    if any(list(t.shape) != dims for t in tensors):
+        raise ShapeMismatchError("a batch needs partitions with equal block dimensions")
     k = len(dims)
-    r = config.restarts
+    if k <= 2:
+        return [_exact_overlap(t, p) for t, p in zip(tensors, partitions)]
 
-    if k == 1:
-        factor = _gauge_fix(psi.amplitudes.reshape(1, -1).copy())[0]
-        product = ProductState(partition, (factor,))
-        return OverlapResult(1.0, 0.0, product, partition, 0, True, 0, upper_bound=1.0)
-
-    if k == 2:
-        u, s, vh = np.linalg.svd(psi_k, full_matrices=False)
-        best = min(float(s[0]) ** 2, 1.0)
-        product = ProductState(partition, (_gauge_fix(u[:, :1].T)[0], _gauge_fix(vh[:1])[0]))
-        return OverlapResult(best, 1.0 - best, product, partition, 0, True, 0, upper_bound=best)
-
-    bound = _coarsening_bound(psi_k)
+    n_prob, r = len(tensors), config.restarts
+    prob = np.repeat(np.arange(n_prob), r)
+    first_row = np.arange(n_prob) * r
+    bounds = np.array([_coarsening_bound(t) for t in tensors])
+    stop_at = bounds - config.tol  # +inf once a problem is certified
     steps = []
     for keep in _sweep_steps(dims):
         rest = [t for t in range(k) if t not in keep]
-        mat = psi_k.transpose(rest + list(keep)).reshape(-1, math.prod(dims[t] for t in keep))
-        steps.append((keep, rest, mat))
-    factors, rng = _initial_factors(dims, config, partition)
-    lam2 = np.zeros(r)
-    prev_sweep = np.full(r, -1.0)
-    prev_overlap = np.zeros(r)
-    iterations = np.full(r, config.max_iterations, dtype=int)
-    converged = np.zeros(r, dtype=bool)
-    active = np.ones(r, dtype=bool)
-    reinjections = 0
+        width = math.prod(dims[t] for t in keep)
+        mats = np.stack([t.transpose(rest + list(keep)).reshape(-1, width) for t in tensors])
+        steps.append((keep, rest, mats))
+    starts, rngs = zip(*(_initial_factors(dims, config, p) for p in partitions))
+    factors = [np.concatenate([f[t] for f in starts]) for t in range(k)]
+    lam2 = np.zeros(n_prob * r)
+    prev_sweep = np.full(n_prob * r, -1.0)
+    prev_overlap = np.zeros(n_prob * r)
+    iterations = np.full(n_prob * r, config.max_iterations, dtype=int)
+    converged = np.zeros(n_prob * r, dtype=bool)
+    active = np.ones(n_prob * r, dtype=bool)
+    reinjections = np.zeros(n_prob, dtype=int)
 
     for sweep in range(1, config.max_iterations + 1):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        for keep, rest, mat in steps:
-            env = _conj_outer(factors, rest, idx) @ mat
+        for keep, rest, mats in steps:
+            outer = _conj_outer(factors, rest, idx)
+            # One problem needs no per-row copy of its matrix: a plain product is faster.
+            env = outer @ mats[0] if n_prob == 1 else (outer[:, None, :] @ mats[prob[idx]])[:, 0]
             if len(keep) == 2:
                 # keep[0] is the smaller block, so the Gram matrix is the smaller one.
                 pair = env.reshape(idx.size, dims[keep[0]], dims[keep[1]])
-                gram = pair @ pair.conj().transpose(0, 2, 1)
-                top = np.linalg.eigh(gram)[1][:, :, -1]
+                top = _top_eigvecs(pair @ pair.conj().transpose(0, 2, 1))
                 env = (top.conj()[:, None, :] @ pair)[:, 0, :]
                 new = [top, env]
             else:
@@ -357,14 +395,14 @@ def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig |
             norms = np.linalg.norm(env, axis=1)
             dead = norms < _ZERO_NORM
             new[-1] = env / np.maximum(norms, _ZERO_NORM)[:, None]
-            if dead.any():
-                for row in np.flatnonzero(dead):
-                    for t, f in zip(keep, new):
-                        z = rng.normal(size=dims[t]) + 1j * rng.normal(size=dims[t])
-                        f[row] = z / np.linalg.norm(z)
-                    norms[row] = 0.0
-                    prev_overlap[idx[row]] = 0.0
-                reinjections += int(np.count_nonzero(dead))
+            for row in np.flatnonzero(dead):
+                rng = rngs[prob[idx[row]]]
+                for t, f in zip(keep, new):
+                    z = rng.normal(size=dims[t]) + 1j * rng.normal(size=dims[t])
+                    f[row] = z / np.linalg.norm(z)
+                norms[row] = 0.0
+                prev_overlap[idx[row]] = 0.0
+                reinjections[prob[idx[row]]] += 1
             alive = ~dead
             if (norms[alive] < prev_overlap[idx][alive] - 1e-9).any():
                 raise NumericalFaultError("ascent monotonicity violated; numerical fault")
@@ -378,26 +416,31 @@ def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig |
         converged[newly] = True
         active[newly] = False
         prev_sweep[idx] = lam2[idx]
-        if lam2.max() >= bound - config.tol:
-            winner = int(np.argmax(lam2))
-            iterations[winner] = sweep
-            converged[winner] = True
-            break
+        certified = lam2.reshape(n_prob, r).max(axis=1) >= stop_at
+        if certified.any():
+            rows = first_row[certified] + lam2.reshape(n_prob, r)[certified].argmax(axis=1)
+            iterations[rows] = sweep
+            converged[rows] = True
+            active.reshape(n_prob, r)[certified] = False
+            stop_at[certified] = np.inf
 
-    winner = int(np.argmax(lam2))
-    product = ProductState(partition, tuple(_gauge_fix(f[winner:winner + 1])[0] for f in factors))
-    best = min(float(lam2[winner]), 1.0)
-    return OverlapResult(
-        lambda2=best,
-        e_g=1.0 - best,
-        argmax=product,
-        partition=partition,
-        iterations=int(iterations[winner]),
-        converged=bool(converged[winner]),
-        winner_restart=winner,
-        upper_bound=bound,
-        reinjections=reinjections,
-    )
+    winners = first_row + lam2.reshape(n_prob, r).argmax(axis=1)
+    results = []
+    for p, (partition, winner) in enumerate(zip(partitions, winners)):
+        product = ProductState(partition, tuple(_gauge_fix(f[winner:winner + 1])[0] for f in factors))
+        best = min(float(lam2[winner]), 1.0)
+        results.append(OverlapResult(
+            lambda2=best,
+            e_g=1.0 - best,
+            argmax=product,
+            partition=partition,
+            iterations=int(iterations[winner]),
+            converged=bool(converged[winner]),
+            winner_restart=int(winner - first_row[p]),
+            upper_bound=float(bounds[p]),
+            reinjections=int(reinjections[p]),
+        ))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +551,8 @@ def grid_oracle(psi: PureState, partition: Partition, resolution: int = 40) -> O
         env = _environment(psi_k, assemble(x), closed)
         return -float(np.linalg.norm(env[0]))
 
-    res = scipy.optimize.minimize(neg_value, x0, method="Powell", bounds=bounds)
+    res = scipy.optimize.minimize(neg_value, x0, method="Powell", bounds=bounds,
+                                  options={"xtol": 1e-10, "ftol": 1e-14})
     x_best = res.x if -res.fun >= best_value else x0
     fcs = assemble(x_best)
     env = _environment(psi_k, fcs, closed)[0]

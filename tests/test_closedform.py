@@ -142,9 +142,11 @@ class TestWKsepReduced:
         reduced = ge.w_ksep_reduced(ge.Shape((1, n - 1)))
         assert reduced.e_g == pytest.approx(ge.w_bisep(1, n).e_g, abs=1e-9)
 
-    def test_k_cap(self):
-        with pytest.raises(DomainError):
-            ge.w_ksep_reduced(ge.Shape((1,) * 13))
+    @pytest.mark.parametrize("n", [13, 20, 50])
+    def test_full_separability_beyond_k12(self, n):
+        # K = N of W(N) is ((N-1)/N)^(N-1); no cap on K remains.
+        value = ge.w_ksep_reduced(ge.Shape((1,) * n))
+        assert value.lambda2 == pytest.approx(((n - 1) / n) ** (n - 1), abs=1e-14)
 
 
 class TestMagnon2:

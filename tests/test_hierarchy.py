@@ -81,9 +81,10 @@ class TestAbsolute:
 
     def test_workers_bit_identical(self, fast_config):
         psi = ge.random_state(4, 40)
-        serial, _ = ge.egk_absolute(psi, 2, fast_config, workers=1)
-        parallel, _ = ge.egk_absolute(psi, 2, fast_config, workers=2)
-        assert serial == parallel
+        for k in (2, 3, 4):
+            serial = ge.egk_absolute(psi, k, fast_config, workers=1)
+            parallel = ge.egk_absolute(psi, k, fast_config, workers=2)
+            assert serial == parallel
 
 
 class TestFullHierarchy:
@@ -137,15 +138,15 @@ class TestFullHierarchy:
 
         from geoent import hierarchy as hmod
 
-        real = hmod.best_overlap
+        real = hmod.best_overlaps
 
-        def underperform_first_k2_scan(psi, partition, config=None):
-            result = real(psi, partition, config)
-            if partition.k == 2 and config.restarts == fast_config.restarts:
-                return SimpleNamespace(e_g=min(1.0, result.e_g + 0.3))
-            return result
+        def underperform_first_k2_scan(states, partitions, config=None):
+            results = real(states, partitions, config)
+            if partitions[0].k == 2 and config.restarts == fast_config.restarts:
+                return [SimpleNamespace(e_g=min(1.0, r.e_g + 0.3)) for r in results]
+            return results
 
-        monkeypatch.setattr(hmod, "best_overlap", underperform_first_k2_scan)
+        monkeypatch.setattr(hmod, "best_overlaps", underperform_first_k2_scan)
         report = hmod.full_hierarchy(ge.w(4), fast_config)
         assert report.entry(2).reran
         assert report.monotonic

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import geoent as ge
 from geoent.errors import DomainError, ResourceCapError, ShapeMismatchError
+from geoent.optimizer import _top_eigvecs
 
 
 def schmidt_lambda2(psi, partition):
@@ -135,6 +136,106 @@ class TestAscentKernel:
         for f in product.factors:
             lead = f[np.argmax(np.abs(f) > 1e-14)]
             assert lead.real > 0 and abs(lead.imag) < 1e-15
+
+
+def same_result(a, b):
+    """Bitwise equality of every field of two results."""
+    return (a.lambda2 == b.lambda2 and a.upper_bound == b.upper_bound
+            and a.iterations == b.iterations and a.converged == b.converged
+            and a.winner_restart == b.winner_restart and a.reinjections == b.reinjections
+            and a.partition == b.partition
+            and all(np.array_equal(fa, fb) for fa, fb in zip(a.argmax.factors, b.argmax.factors)))
+
+
+def shape_batches(n, k):
+    """All k-block partitions of n qubits, one list per shape."""
+    groups = {}
+    for p in sorted(ge.set_partitions(n, k), key=lambda p: p.sort_key()):
+        groups.setdefault(p.shape, []).append(p)
+    return list(groups.values())
+
+
+class TestBatch:
+    # At N = 5 every pair has a qubit block; 2|2|2 at N = 6 pairs 4x4 blocks.
+    @pytest.mark.parametrize("n, k, sizes", [(5, 3, None), (5, 4, None), (5, 5, None),
+                                             (6, 3, (2, 2, 2))])
+    def test_batch_matches_single_calls(self, n, k, sizes, fast_config):
+        psi = ge.random_state(n, 70 + k)
+        for batch in shape_batches(n, k):
+            if sizes and batch[0].shape != ge.Shape(sizes):
+                continue
+            results = ge.best_overlaps([psi] * len(batch), batch, fast_config)
+            for partition, result in zip(batch, results):
+                single = ge.best_overlap(psi, partition, fast_config)
+                assert result.partition == partition
+                assert result.lambda2 == pytest.approx(single.lambda2, abs=1e-12)
+                assert result.upper_bound == single.upper_bound
+            reverse = ge.best_overlaps([psi] * len(batch), batch[::-1], fast_config)
+            assert all(same_result(a, b) for a, b in zip(results, reverse[::-1]))
+
+    def test_batch_of_different_states(self, fast_config):
+        states = [ge.random_state(4, seed) for seed in (1, 2, 3)]
+        partition = ge.Partition(((1,), (2,), (3, 4)))
+        results = ge.best_overlaps(states, [partition] * 3, fast_config)
+        for psi, result in zip(states, results):
+            single = ge.best_overlap(psi, partition, fast_config)
+            assert result.lambda2 == pytest.approx(single.lambda2, abs=1e-12)
+
+    def test_certificate_stops_one_problem(self, config):
+        # w(6) meets its bound 1/2 at sweep 1 and stops there, while the
+        # other state in the batch, with a larger overlap, sweeps on.
+        partition = ge.Partition(((1,), (2, 3), (4, 5, 6)))
+        amps = ge.basis_ket(6, 0).amplitudes + 0.5 * ge.random_state(6, 8).amplitudes
+        psi = ge.PureState(6, amps / np.linalg.norm(amps))
+        certified, other = ge.best_overlaps([ge.w(6), psi], [partition] * 2, config)
+        assert certified.lambda2 == pytest.approx(0.5, abs=1e-12)
+        assert certified.converged and certified.iterations == 1
+        assert other.lambda2 > certified.lambda2 and other.iterations > 1
+        assert other.lambda2 == pytest.approx(ge.best_overlap(psi, partition, config).lambda2,
+                                              abs=1e-12)
+
+    def test_unequal_dimensions_rejected(self, fast_config):
+        psi = ge.random_state(5, 3)
+        with pytest.raises(ShapeMismatchError):
+            ge.best_overlaps([psi, psi], [ge.Partition(((1,), (2,), (3, 4, 5))),
+                                          ge.Partition(((1,), (2, 3), (4, 5)))], fast_config)
+
+
+def is_top_eigvec(gram, v, tol=1e-12):
+    """v is a unit eigenvector of the largest eigenvalue of the Hermitian gram."""
+    top = np.linalg.eigvalsh(gram)[-1]
+    scale = max(top, 1.0)
+    return (abs(np.linalg.norm(v) - 1.0) <= tol
+            and np.linalg.norm(gram @ v - top * v) <= tol * scale)
+
+
+class TestQubitEigvec:
+    def test_random_grams_match_eigh(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(200, 2, 4)) + 1j * rng.normal(size=(200, 2, 4))
+        grams = x @ x.conj().transpose(0, 2, 1)
+        grams[:50] *= rng.uniform(1e-8, 1e-3, size=(50, 1, 1))
+        v = _top_eigvecs(grams)
+        ref = np.linalg.eigh(grams)[1][:, :, -1]
+        assert all(is_top_eigvec(g, u) for g, u in zip(grams, v))
+        np.testing.assert_allclose(np.abs(np.sum(ref.conj() * v, axis=1)), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("gram", [np.diag([2.0, 2.0]), np.diag([0.0, 3.0]),
+                                      np.diag([3.0, 0.0]), np.zeros((2, 2))],
+                             ids=["a=c", "a<c", "a>c", "zero"])
+    def test_degenerate_grams(self, gram):
+        v = _top_eigvecs(gram.astype(complex)[None])[0]
+        assert np.all(np.isfinite(v))
+        assert is_top_eigvec(gram, v)
+
+    def test_rejects_perturbed_vector(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        gram = x @ x.conj().T
+        v = _top_eigvecs(gram[None])[0]
+        assert is_top_eigvec(gram, v)
+        bad = v + 1e-6 * np.array([1.0, -1.0])
+        assert not is_top_eigvec(gram, bad / np.linalg.norm(bad))
 
 
 class TestKnownMisses:
