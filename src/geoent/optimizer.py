@@ -11,14 +11,12 @@ factors, with the largest singular value as the overlap modulus. For odd K
 a sweep first sets the largest block alone to the normalized contraction of
 the state against the others, which is its optimal factor; then it takes
 the pairs from the smallest block up. Every step is exact, so the ascent is
-monotone. ``best_overlaps`` runs problems whose blocks have equal
-dimensions (one shape's partitions in a hierarchy scan) as one vectorized
-ascent over every problem's restarts; each problem keeps its own starts,
-RNG and stops. Restarts matter only here.
+monotone. ``best_overlaps`` runs problems of equal block dimensions as one
+vectorized ascent over all their restarts, which matter only here.
 Every bipartition that coarsens the partition has a larger separable set,
 so the smallest of their sigma_max^2 bounds Lambda^2 from above. This bound
-is reported as ``upper_bound``, and once the best restart meets it within
-``tol`` the maximum is certified and every restart stops.
+is reported as ``upper_bound``, and once a problem's best restart meets it
+within ``tol`` the maximum is certified and all its restarts stop.
 
 grid_oracle is a deliberately separate brute-force maximizer used as an
 independent reference in tests; it shares no iteration logic with the
@@ -42,6 +40,7 @@ _ZERO_NORM = 1e-120
 _GAUGE_EPS = 1e-14
 _MAX_GRID_POINTS = 200_000_000
 _GRID_CHUNK = 65536
+_BATCH_AMPLITUDES = 1 << 18  # problems x restarts x 2^N per ascent run (4 MB per matrix copy)
 
 
 @dataclass(frozen=True)
@@ -308,66 +307,68 @@ def _top_eigvecs(gram: np.ndarray) -> np.ndarray:
     return v / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=1))[:, None]
 
 
-def _exact_overlap(psi_k: np.ndarray, partition: Partition) -> OverlapResult:
-    """K = 1 is the state itself; K = 2 is one SVD."""
+def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig | None = None) -> OverlapResult:
+    """Lambda_K^2 on a fixed partition: an SVD for K = 2, else the ascent of
+    ``best_overlaps`` on this one problem."""
+    psi_k = _blocked_tensor(psi, partition)
     if psi_k.ndim == 1:
         product = ProductState(partition, (_gauge_fix(psi_k.reshape(1, -1))[0],))
         return OverlapResult(1.0, 0.0, product, partition, 0, True, 0, upper_bound=1.0)
-    u, s, vh = np.linalg.svd(psi_k, full_matrices=False)
-    best = min(float(s[0]) ** 2, 1.0)
-    product = ProductState(partition, (_gauge_fix(u[:, :1].T)[0], _gauge_fix(vh[:1])[0]))
-    return OverlapResult(best, 1.0 - best, product, partition, 0, True, 0, upper_bound=best)
-
-
-def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig | None = None) -> OverlapResult:
-    """Lambda_K^2 on a fixed partition: ``best_overlaps`` on a batch of one."""
-    return best_overlaps([psi], [partition], config)[0]
+    if psi_k.ndim == 2:
+        u, s, vh = np.linalg.svd(psi_k, full_matrices=False)
+        best = min(float(s[0]) ** 2, 1.0)
+        product = ProductState(partition, (_gauge_fix(u[:, :1].T)[0], _gauge_fix(vh[:1])[0]))
+        return OverlapResult(best, 1.0 - best, product, partition, 0, True, 0, upper_bound=best)
+    return _ascent([psi_k], [partition], config or OptimizerConfig())[0]
 
 
 def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> list[OverlapResult]:
-    """Lambda_K^2 of each (state, partition) problem whose blocks have the
-    same dimensions in block order: an SVD for K <= 2, else one multistart
-    ascent over every problem's restarts at once.
+    """Lambda_K^2 of each problem of two equal-length sequences, whose blocks
+    have the same dimensions in block order. A lone problem, or K <= 2,
+    is a ``best_overlap`` call; the others run as one multistart ascent over
+    all their restarts, in pieces of at most ``_BATCH_AMPLITUDES`` problems
+    x restarts x 2^N.
 
-    For K >= 3 one iteration is one sweep of ceil(K/2) exact steps. For odd
-    K the sweep first sets the largest block to its normalized contraction
-    with the other factors. Then each pair of blocks, from the smallest up,
-    is set to the leading singular pair of the state contracted with every
-    other factor: the top eigenvector of its Gram matrix on the smaller side
-    (closed form for a qubit, else batched eigh), then one matvec. Each step
-    is one stacked product of every active restart's outer product of the
-    other factors against its own problem's state matrix.
+    A sweep takes the steps of the module docstring: a pair takes the top
+    eigenvector of its Gram matrix on the smaller side (closed form for a
+    qubit, else batched eigh), then one matvec. Each step is one stacked
+    product of every active restart's outer product of the other factors
+    against its own problem's matrix (a plain product for a lone problem).
+    Each problem keeps its own starts, RNG, bound and stops, so its result
+    equals a batch of one within rounding and is bitwise the same in any
+    order of a batch that runs in one piece.
 
-    Each problem keeps its own starts, RNG, coarsening bound and stops, so
-    its result does not depend on the rest of the batch. A restart stops
-    when its squared overlap improves by less than ``config.tol`` over a
-    sweep; all of a problem's restarts stop once its best is within
-    ``config.tol`` of the bound (the winner then counts as converged). Each
-    result is the best of its restarts (ties to the lowest index) and is
-    deterministic for a fixed seed.
+    A restart stops when its squared overlap improves by less than
+    ``config.tol`` over a sweep; all of a problem's restarts stop once its
+    best is within ``config.tol`` of the bound (the winner then counts as
+    converged). Each result is the best of its restarts (ties to the lowest
+    index) and is deterministic for a fixed seed.
     """
     config = config or OptimizerConfig()
     tensors = [_blocked_tensor(psi, p) for psi, p in zip(states, partitions, strict=True)]
-    dims = list(tensors[0].shape)
-    if any(list(t.shape) != dims for t in tensors):
+    if any(t.shape != tensors[0].shape for t in tensors):
         raise ShapeMismatchError("a batch needs partitions with equal block dimensions")
-    k = len(dims)
-    if k <= 2:
-        return [_exact_overlap(t, p) for t, p in zip(tensors, partitions)]
+    if len(tensors) == 1 or tensors[0].ndim <= 2:
+        return [best_overlap(psi, p, config) for psi, p in zip(states, partitions)]
+    per_run = max(1, _BATCH_AMPLITUDES // (config.restarts * tensors[0].size))
+    return [res for i in range(0, len(tensors), per_run)
+            for res in _ascent(tensors[i:i + per_run], partitions[i:i + per_run], config)]
 
+
+def _ascent(tensors, partitions, config: OptimizerConfig) -> list[OverlapResult]:
+    """The K >= 3 ascent of ``best_overlaps`` on blocked tensors of equal shape."""
+    dims = list(tensors[0].shape)
     n_prob, r = len(tensors), config.restarts
-    prob = np.repeat(np.arange(n_prob), r)
-    first_row = np.arange(n_prob) * r
     bounds = np.array([_coarsening_bound(t) for t in tensors])
     stop_at = bounds - config.tol  # +inf once a problem is certified
     steps = []
     for keep in _sweep_steps(dims):
-        rest = [t for t in range(k) if t not in keep]
+        rest = [t for t in range(len(dims)) if t not in keep]
         width = math.prod(dims[t] for t in keep)
         mats = np.stack([t.transpose(rest + list(keep)).reshape(-1, width) for t in tensors])
         steps.append((keep, rest, mats))
     starts, rngs = zip(*(_initial_factors(dims, config, p) for p in partitions))
-    factors = [np.concatenate([f[t] for f in starts]) for t in range(k)]
+    factors = [np.concatenate(block) for block in zip(*starts)]
     lam2 = np.zeros(n_prob * r)
     prev_sweep = np.full(n_prob * r, -1.0)
     prev_overlap = np.zeros(n_prob * r)
@@ -383,7 +384,7 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
         for keep, rest, mats in steps:
             outer = _conj_outer(factors, rest, idx)
             # One problem needs no per-row copy of its matrix: a plain product is faster.
-            env = outer @ mats[0] if n_prob == 1 else (outer[:, None, :] @ mats[prob[idx]])[:, 0]
+            env = outer @ mats[0] if n_prob == 1 else (outer[:, None, :] @ mats[idx // r])[:, 0]
             if len(keep) == 2:
                 # keep[0] is the smaller block, so the Gram matrix is the smaller one.
                 pair = env.reshape(idx.size, dims[keep[0]], dims[keep[1]])
@@ -396,13 +397,13 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
             dead = norms < _ZERO_NORM
             new[-1] = env / np.maximum(norms, _ZERO_NORM)[:, None]
             for row in np.flatnonzero(dead):
-                rng = rngs[prob[idx[row]]]
+                rng = rngs[idx[row] // r]
                 for t, f in zip(keep, new):
                     z = rng.normal(size=dims[t]) + 1j * rng.normal(size=dims[t])
                     f[row] = z / np.linalg.norm(z)
                 norms[row] = 0.0
                 prev_overlap[idx[row]] = 0.0
-                reinjections[prob[idx[row]]] += 1
+                reinjections[idx[row] // r] += 1
             alive = ~dead
             if (norms[alive] < prev_overlap[idx][alive] - 1e-9).any():
                 raise NumericalFaultError("ascent monotonicity violated; numerical fault")
@@ -418,13 +419,13 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
         prev_sweep[idx] = lam2[idx]
         certified = lam2.reshape(n_prob, r).max(axis=1) >= stop_at
         if certified.any():
-            rows = first_row[certified] + lam2.reshape(n_prob, r)[certified].argmax(axis=1)
-            iterations[rows] = sweep
-            converged[rows] = True
+            best = np.flatnonzero(certified) * r + lam2.reshape(n_prob, r)[certified].argmax(axis=1)
+            iterations[best] = sweep
+            converged[best] = True
             active.reshape(n_prob, r)[certified] = False
             stop_at[certified] = np.inf
 
-    winners = first_row + lam2.reshape(n_prob, r).argmax(axis=1)
+    winners = np.arange(n_prob) * r + lam2.reshape(n_prob, r).argmax(axis=1)
     results = []
     for p, (partition, winner) in enumerate(zip(partitions, winners)):
         product = ProductState(partition, tuple(_gauge_fix(f[winner:winner + 1])[0] for f in factors))
@@ -436,7 +437,7 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
             partition=partition,
             iterations=int(iterations[winner]),
             converged=bool(converged[winner]),
-            winner_restart=int(winner - first_row[p]),
+            winner_restart=int(winner % r),
             upper_bound=float(bounds[p]),
             reinjections=int(reinjections[p]),
         ))

@@ -194,6 +194,26 @@ class TestBatch:
         assert other.lambda2 == pytest.approx(ge.best_overlap(psi, partition, config).lambda2,
                                               abs=1e-12)
 
+    def test_large_batch_runs_in_pieces(self, monkeypatch, fast_config):
+        from geoent import optimizer
+
+        psi = ge.random_state(5, 71)
+        batch = next(b for b in shape_batches(5, 3) if len(b) == 15)
+        whole = ge.best_overlaps([psi] * 15, batch, fast_config)
+        calls = []
+        real = optimizer._ascent
+
+        def counted(tensors, partitions, config):
+            calls.append(len(tensors))
+            return real(tensors, partitions, config)
+
+        monkeypatch.setattr(optimizer, "_ascent", counted)
+        # room for three problems of 2^5 amplitudes at these restarts
+        monkeypatch.setattr(optimizer, "_BATCH_AMPLITUDES", 3 * fast_config.restarts * 32)
+        pieces = ge.best_overlaps([psi] * 15, batch, fast_config)
+        assert calls == [3, 3, 3, 3, 3]
+        assert all(same_result(a, b) for a, b in zip(whole, pieces))
+
     def test_unequal_dimensions_rejected(self, fast_config):
         psi = ge.random_state(5, 3)
         with pytest.raises(ShapeMismatchError):
