@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 import scipy.optimize
@@ -227,7 +227,7 @@ def magnon_bisep_schmidt(m: int, n: int, k: int) -> ClosedFormValue:
 
 def _gamma_fractions(gamma) -> list[Fraction]:
     out = [Fraction(g) for g in gamma]
-    if any(g < 0 for g in out):
+    if any(g.numerator < 0 for g in out):
         raise DomainError("weights must be nonnegative")
     if not any(out):
         raise DomainError("weights are all zero")
@@ -249,9 +249,13 @@ def asym_w_bisep(gamma, block_a) -> ClosedFormValue:
         raise DomainError("block must be a nonempty proper subset")
     if not block_a <= frozenset(range(1, n + 1)):
         raise DomainError(f"block labels must lie in 1..{n}")
-    total = sum(x * x for x in g)
-    in_a = sum(g[q - 1] ** 2 for q in block_a)
-    lam = max(in_a, total - in_a) / total
+    # Squared numerators over the squared lcm of the denominators: integer sums
+    # and a single Fraction, exact for any rational weights.
+    scale = lcm(*(x.denominator for x in g))
+    squares = [(x.numerator * (scale // x.denominator)) ** 2 for x in g]
+    total = sum(squares)
+    in_a = sum(squares[q - 1] for q in block_a)
+    lam = Fraction(max(in_a, total - in_a), total)
     return _from_exact_lambda2(lam, "asymw-bipartition")
 
 

@@ -248,17 +248,17 @@ def scale_invariance_check(family: str, shape: Shape, l: int,
 
 
 def sweep_eta(family: str, etas, config: OptimizerConfig | None = None, *,
-              phi: float = 0.0, k: int = 3, m1: int = 1, n: int = 3):
+              phi=0.0, k: int = 3, m1: int = 1, n: int = 3):
     """(eta, E) pairs along a mixing-angle grid for the superposition families.
 
     family 'w_w_tilde' / 'w_ghz3': 3-qubit superpositions with relative phase
-    ``phi``; ``k`` selects E^(2) (bipartition 1|2) or E^(3) (full separability),
-    computed with the numeric optimizer. family 'wghz': E^(2)(m1 | n-m1) of the
-    real N-qubit superposition via its closed form (an at most 3x3 SVD).
+    ``phi``, one angle or one per eta; ``k`` selects E^(2) (bipartition 1|2)
+    or E^(3) (full separability), computed as one ``best_overlaps`` batch.
+    family 'wghz': E^(2)(m1 | n-m1) of the real N-qubit superposition via its
+    closed form (an at most 3x3 SVD).
     """
     config = config or OptimizerConfig()
     etas = [float(e) for e in etas]
-    rows = []
     if family in ("w_w_tilde", "w_ghz3"):
         other = w_tilde3() if family == "w_w_tilde" else ghz(3)
         if k == 3:
@@ -267,14 +267,17 @@ def sweep_eta(family: str, etas, config: OptimizerConfig | None = None, *,
             partition = Partition(((1,), (2, 3)))
         else:
             raise DomainError("three-qubit sweeps support k = 2 or 3")
-        for eta in etas:
-            psi = superpose(np.cos(eta), w(3), np.sin(eta), phi, other)
-            rows.append((eta, best_overlap(psi, partition, config).e_g))
-    elif family == "wghz":
+        phis = np.asarray(phi, dtype=np.float64)
+        if phis.ndim == 0:
+            phis = np.full(len(etas), phis)
+        elif phis.shape != (len(etas),):
+            raise DomainError(f"need one phi or {len(etas)} of them, got shape {phis.shape}")
+        states = [superpose(np.cos(eta), w(3), np.sin(eta), p, other)
+                  for eta, p in zip(etas, phis)]
+        results = best_overlaps(states, [partition] * len(states), config)
+        return [(eta, r.e_g) for eta, r in zip(etas, results)]
+    if family == "wghz":
         if not 1 <= m1 <= n - 1:
             raise DomainError(f"need 1 <= m1 < n, got m1={m1}, n={n}")
-        for eta in etas:
-            rows.append((eta, closedform.wghz_bisep_reduced(eta, m1, n - m1).e_g))
-    else:
-        raise DomainError(f"unknown sweep family {family!r}")
-    return rows
+        return [(eta, closedform.wghz_bisep_reduced(eta, m1, n - m1).e_g) for eta in etas]
+    raise DomainError(f"unknown sweep family {family!r}")

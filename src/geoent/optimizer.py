@@ -348,7 +348,7 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
     tensors = [_blocked_tensor(psi, p) for psi, p in zip(states, partitions, strict=True)]
     if any(t.shape != tensors[0].shape for t in tensors):
         raise ShapeMismatchError("a batch needs partitions with equal block dimensions")
-    if len(tensors) == 1 or tensors[0].ndim <= 2:
+    if len(tensors) <= 1 or tensors[0].ndim <= 2:
         return [best_overlap(psi, p, config) for psi, p in zip(states, partitions)]
     per_run = max(1, _BATCH_AMPLITUDES // (config.restarts * tensors[0].size))
     return [res for i in range(0, len(tensors), per_run)

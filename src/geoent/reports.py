@@ -19,7 +19,7 @@ import scipy.optimize
 
 from . import closedform
 from .closedform import cascade_f, cascade_max_f, line_max
-from .errors import DomainError
+from .errors import DomainError, ShapeMismatchError
 from .hierarchy import (
     DEGENERACY_TOL,
     egk_absolute,
@@ -253,12 +253,22 @@ def table_to_dict(result: TableResult) -> dict:
 # figure datasets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveData:
+    """A figure dataset; ``rows`` is a read-only float64 array, one column per header."""
+
     figure: str
     meta: dict
     header: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: np.ndarray
+
+    def __post_init__(self):
+        rows = np.array(self.rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != len(self.header):
+            raise ShapeMismatchError(
+                f"rows of shape {rows.shape} do not match {len(self.header)} columns")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
 
 _DEFAULT_FIG3_N = (2, 3, 4, 5, 6, 7, 8, 9, 10, 20, 30, 40, 50, 100)
@@ -280,71 +290,52 @@ def compute_curve(figure: str, config: OptimizerConfig | None = None, *,
     etas = np.linspace(0.0, np.pi / 2, eta_points)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0x7FFFFFFF, 0xF19]))
 
+    def curve(family, **kwargs):
+        return [e for _, e in sweep_eta(family, etas, config, **kwargs)]
+
     if figure == "1":
-        wwt = [e for _, e in sweep_eta("w_w_tilde", etas, config, phi=0.0, k=3)]
-        wg0 = [e for _, e in sweep_eta("w_ghz3", etas, config, phi=0.0, k=3)]
-        wgp = [e for _, e in sweep_eta("w_ghz3", etas, config, phi=np.pi, k=3)]
+        wwt = curve("w_w_tilde", phi=0.0, k=3)
+        wg0 = curve("w_ghz3", phi=0.0, k=3)
+        wgp = curve("w_ghz3", phi=np.pi, k=3)
         phis = rng.uniform(0.0, np.pi, etas.size)
-        rows = []
-        for i, (eta, phi) in enumerate(zip(etas, phis)):
-            psi = superpose(np.cos(eta), w(3), np.sin(eta), phi, ghz(3))
-            e_rand = best_overlap(psi, Partition(((1,), (2,), (3,))), config).e_g
-            rows.append((eta, wwt[i], wg0[i], wgp[i], phi, e_rand))
         return CurveData(
             "1", {"seed": config.seed},
             ("eta", "e3_w_wtilde", "e3_wghz_phi0", "e3_wghz_phi_pi",
              "phi_random", "e3_wghz_phi_random"),
-            tuple(rows),
+            np.column_stack([etas, wwt, wg0, wgp, phis, curve("w_ghz3", phi=phis, k=3)]),
         )
 
     if figure == "2":
         phi_wghz = float(rng.uniform(0.0, np.pi))
-        wwt = [e for _, e in sweep_eta("w_w_tilde", etas, config, phi=0.0, k=2)]
-        wg = [e for _, e in sweep_eta("w_ghz3", etas, config, phi=phi_wghz, k=2)]
-        rows = [(eta, wwt[i], wg[i], phi_wghz) for i, eta in enumerate(etas)]
         return CurveData(
             "2", {"seed": config.seed, "phi_wghz": phi_wghz},
             ("eta", "e2_w_wtilde", "e2_wghz", "phi_wghz"),
-            tuple(rows),
+            np.column_stack([etas, curve("w_w_tilde", phi=0.0, k=2),
+                             curve("w_ghz3", phi=phi_wghz, k=2), np.full(etas.size, phi_wghz)]),
         )
 
     if figure == "3":
         n_values = tuple(int(n) for n in (n_list or _DEFAULT_FIG3_N))
-        curves = {
-            n: [e for _, e in sweep_eta("wghz", etas, config, m1=1, n=n)]
-            for n in n_values
-        }
-        rows = [tuple([eta] + [curves[n][i] for n in n_values])
-                for i, eta in enumerate(etas)]
         return CurveData(
             "3", {"n_list": list(n_values)},
             tuple(["eta"] + [f"e2_1_vs_rest_n{n}" for n in n_values]),
-            tuple(rows),
+            np.column_stack([etas] + [curve("wghz", m1=1, n=n) for n in n_values]),
         )
 
     if figure in ("4", "5", "6", "7"):
         grid = np.linspace(0.0, 1.0, gamma_points)
-        rows = []
+        g1, g2 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
         if figure in ("4", "5"):
             fixed = {"gamma3": 0.5}
-            for g1 in grid:
-                for g2 in grid:
-                    gammas = (g1, g2, 0.5)
-                    if figure == "4":
-                        e = closedform.asym_w_bisep(gammas, {1}).e_g
-                    else:
-                        e = min(
-                            closedform.asym_w_bisep(gammas, {q}).e_g for q in (1, 2, 3)
-                        )
-                    rows.append((g1, g2, e))
+            blocks = [{1}] if figure == "4" else [{1}, {2}, {3}]
+            e = [min(closedform.asym_w_bisep((a, b, 0.5), block).e_g for block in blocks)
+                 for a, b in zip(g1, g2)]
         else:
             fixed = {"gamma3": 2.0 / 3.0, "gamma4": 1.0 / 6.0}
             block = {1} if figure == "6" else {1, 2}
-            for g1 in grid:
-                for g2 in grid:
-                    gammas = (g1, g2, 2.0 / 3.0, 1.0 / 6.0)
-                    rows.append((g1, g2, closedform.asym_w_bisep(gammas, block).e_g))
-        return CurveData(figure, fixed, ("gamma1", "gamma2", "e2"), tuple(rows))
+            e = [closedform.asym_w_bisep((a, b, 2.0 / 3.0, 1.0 / 6.0), block).e_g
+                 for a, b in zip(g1, g2)]
+        return CurveData(figure, fixed, ("gamma1", "gamma2", "e2"), np.column_stack([g1, g2, e]))
 
     raise DomainError(f"unknown figure {figure!r}; choose 1-7")
 

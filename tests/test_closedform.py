@@ -194,6 +194,31 @@ class TestAsymWBisep:
         with pytest.raises(DomainError):
             ge.asym_w_bisep((1, 1, 1), block)
 
+    @staticmethod
+    def _reference(gamma, block, shift=0):
+        """The value computed with plain Fraction arithmetic, lambda^2 shifted by ``shift``."""
+        g = [Fraction(x) for x in gamma]
+        total = sum(x * x for x in g)
+        in_a = sum(g[q - 1] ** 2 for q in block)
+        lam = max(in_a, total - in_a) / total + shift
+        return ge.ClosedFormValue(float(lam), 1.0 - float(lam), 1 - lam, "asymw-bipartition")
+
+    def test_equals_plain_fraction_reference(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            size = int(rng.integers(1, n))
+            block = {int(q) for q in rng.choice(np.arange(1, n + 1), size, replace=False)}
+            floats = 10.0 ** rng.uniform(-30, 30, n)
+            fractions = [Fraction(int(a), int(b))
+                         for a, b in zip(rng.integers(1, 60, n), rng.integers(1, 60, n))]
+            ints = [int(x) for x in rng.integers(1, 9, n)]
+            for gamma in (tuple(floats), tuple(rng.uniform(0, 1, n)),
+                          tuple(fractions), tuple(ints)):
+                value = ge.asym_w_bisep(gamma, block)
+                assert value == self._reference(gamma, block)
+                assert value != self._reference(gamma, block, shift=-Fraction(1e-9))
+
 
 class TestAsymWKsepReduced:
     @pytest.mark.parametrize("sizes", [(1, 2), (1, 1, 2), (2, 2), (1, 1, 1, 1)])

@@ -3,6 +3,23 @@ import pytest
 
 import geoent as ge
 from geoent.errors import DomainError, ResourceCapError
+from geoent.reports import compute_curve
+
+FULL3 = ge.Partition(((1,), (2,), (3,)))
+
+
+def _lone_e3(etas, phis, other, config):
+    """E^(3) of cos(eta) W + sin(eta) e^{i phi} other, one ``best_overlap`` per point."""
+    return np.array([
+        ge.best_overlap(ge.superpose(np.cos(e), ge.w(3), np.sin(e), p, other), FULL3, config).e_g
+        for e, p in zip(etas, np.broadcast_to(phis, np.shape(etas)))
+    ])
+
+
+def _assert_within(got, want, tol):
+    """got lies within tol of want, and a 1e-9 shift of got would not."""
+    assert np.max(np.abs(got - want)) <= tol
+    assert np.max(np.abs(got + 1e-9 - want)) > tol
 
 
 class TestIsSymmetric:
@@ -218,3 +235,30 @@ class TestSweepEta:
     def test_unknown_family(self, config):
         with pytest.raises(DomainError):
             ge.sweep_eta("bell", [0.0], config)
+
+    @pytest.mark.parametrize("phi", [0.7, np.linspace(0.0, np.pi, 9)], ids=["scalar", "per-eta"])
+    def test_batch_matches_per_point_best_overlap(self, config, phi):
+        etas = np.linspace(0.0, np.pi / 2, 9)
+        rows = ge.sweep_eta("w_ghz3", etas, config, phi=phi, k=3)
+        assert [eta for eta, _ in rows] == list(etas)
+        lone = _lone_e3(etas, phi, ge.ghz(3), config)
+        _assert_within(np.array([e for _, e in rows]), lone, 1e-12)
+
+    def test_phi_of_wrong_length(self, config):
+        with pytest.raises(DomainError):
+            ge.sweep_eta("w_ghz3", [0.0, 0.5], config, phi=[0.0, 1.0, 2.0])
+
+    def test_empty_grid(self, config):
+        assert ge.sweep_eta("w_ghz3", [], config, k=3) == []
+
+    def test_figure1_rows_match_per_state_best_overlap(self, config):
+        data = compute_curve("1", config, eta_points=5)
+        rows = data.rows
+        assert rows.dtype == np.float64 and rows.shape == (5, 6)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 1] = 0.0
+        etas = rows[:, 0]
+        for col, other, phis in ((1, ge.w_tilde3(), 0.0), (2, ge.ghz(3), 0.0),
+                                 (3, ge.ghz(3), np.pi), (5, ge.ghz(3), rows[:, 4])):
+            _assert_within(rows[:, col], _lone_e3(etas, phis, other, config), 1e-12)
