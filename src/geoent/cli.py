@@ -33,9 +33,12 @@ def _default_seed() -> int:
 
 
 def _add_optimizer_flags(parser):
-    parser.add_argument("--restarts", type=int, default=64)
-    parser.add_argument("--max-iterations", type=int, default=10000)
-    parser.add_argument("--tol", type=float, default=1e-12)
+    parser.add_argument("--restarts", type=int, default=64,
+                        help="starts of the K >= 3 ascent per partition (default: 64)")
+    parser.add_argument("--max-iterations", type=int, default=10000,
+                        help="sweep cap of each ascent restart (default: 10000)")
+    parser.add_argument("--tol", type=float, default=1e-12,
+                        help="stop a restart when a sweep gains less (default: 1e-12)")
     parser.add_argument("--seed", type=int, default=None,
                         help="random seed (default: GEOENT_SEED or 0)")
     parser.add_argument("--workers", type=int, default=1,

@@ -13,10 +13,21 @@ the state against the others, which is its optimal factor; then it takes
 the pairs from the smallest block up. Every step is exact, so the ascent is
 monotone. ``best_overlaps`` runs problems of equal block dimensions as one
 vectorized ascent over all their restarts, which matter only here.
+
 Every bipartition that coarsens the partition has a larger separable set,
 so the smallest of their sigma_max^2 bounds Lambda^2 from above. This bound
 is reported as ``upper_bound``, and once a problem's best restart meets it
 within ``tol`` the maximum is certified and all its restarts stop.
+
+On a degenerate maximum, such as the orbits of the magnon and W+GHZ states,
+the ascent (a higher-order power method) converges sublinearly: losing
+restarts crawl for thousands of sweeps onto the winner's value. So from
+sweep t = 2 on, each sweep that takes the factors x_prev to x also makes an
+extrapolated try (cf. Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl.
+30, 2008): with each block's x_prev rotated by the phase of <x_prev, x>, one
+more sweep runs from the normalized x + beta_t (x - x_prev), beta_t = t/3,
+and its result replaces x only where its overlap is strictly higher. Every kept point is the output
+of an exact sweep, so monotonicity and every stop keep their meaning.
 
 grid_oracle is a deliberately separate brute-force maximizer used as an
 independent reference in tests; it shares no iteration logic with the
@@ -54,10 +65,13 @@ class OptimizerConfig:
     grid_resolution: int = 40
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iterations < 1:
-            raise DomainError("restarts and max_iterations must be positive")
-        if self.tol <= 0 or self.grid_resolution < 2:
-            raise DomainError("tol must be positive and grid_resolution >= 2")
+        for name, least in (("restarts", 1), ("max_iterations", 1), ("grid_resolution", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+        # A nan tol never stops a restart; an infinite one stops every restart at sweep 2.
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise DomainError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,11 +296,11 @@ def _sweep_steps(dims: list[int]) -> list[tuple[int, ...]]:
     return alone + [tuple(order[i:i + 2]) for i in range(0, len(order), 2)]
 
 
-def _conj_outer(factors: list[np.ndarray], blocks: list[int], idx: np.ndarray) -> np.ndarray:
+def _conj_outer(x: list[np.ndarray], blocks: list[int]) -> np.ndarray:
     """Rows of the conjugated factors' tensor product over ``blocks``, (R, prod d)."""
-    out = factors[blocks[0]][idx].conj()
+    out = x[blocks[0]].conj()
     for t in blocks[1:]:
-        out = (out[:, :, None] * factors[t][idx].conj()[:, None, :]).reshape(idx.size, -1)
+        out = (out[:, :, None] * x[t].conj()[:, None, :]).reshape(out.shape[0], -1)
     return out
 
 
@@ -338,11 +352,19 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
     equals a batch of one within rounding and is bitwise the same in any
     order of a batch that runs in one piece.
 
+    From the second sweep on, a sweep also runs the extrapolated try of the
+    module docstring on the same active rows, batched like the plain sweep,
+    and keeps its result for a restart only where it ends strictly higher.
+    The try never reinjects: random draws and ``reinjections`` come only from
+    the plain sweep.
+
     A restart stops when its squared overlap improves by less than
     ``config.tol`` over a sweep; all of a problem's restarts stop once its
     best is within ``config.tol`` of the bound (the winner then counts as
-    converged). Each result is the best of its restarts (ties to the lowest
-    index) and is deterministic for a fixed seed.
+    converged). So ``converged`` means a step below ``tol``, not a value
+    within ``tol`` of the maximum: on a degenerate maximum a plain run stops
+    about 2e-9 short. Each result is the best of its restarts (ties to the
+    lowest index) and is deterministic for a fixed seed.
     """
     config = config or OptimizerConfig()
     tensors = [_blocked_tensor(psi, p) for psi, p in zip(states, partitions, strict=True)]
@@ -353,6 +375,60 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
     per_run = max(1, _BATCH_AMPLITUDES // (config.restarts * tensors[0].size))
     return [res for i in range(0, len(tensors), per_run)
             for res in _ascent(tensors[i:i + per_run], partitions[i:i + per_run], config)]
+
+
+def _sweep(steps, x, prob, prev, rngs=None, reinjections=None) -> np.ndarray:
+    """One sweep of the ascent on the rows ``x`` (one (R, d_t) array per
+    block, replaced in place), row i against problem ``prob[i]``'s matrices.
+
+    ``prev`` is each row's overlap before the sweep, or None when it is not
+    known, in which case the monotonicity check starts after the first step.
+    A step whose matrix vanishes redraws the new factors of the row from its
+    problem's generator in ``rngs`` and counts it in ``reinjections``; without
+    ``rngs`` the row is lost. Returns each row's overlap, -1 for a lost row.
+    """
+    lost = np.zeros(len(prob), dtype=bool)
+    for keep, rest, mats in steps:
+        outer = _conj_outer(x, rest)
+        # One problem needs no per-row copy of its matrix: a plain product is faster.
+        env = outer @ mats[0] if len(mats) == 1 else (outer[:, None, :] @ mats[prob])[:, 0]
+        if len(keep) == 2:
+            # keep[0] is the smaller block, so the Gram matrix is the smaller one.
+            pair = env.reshape(len(prob), x[keep[0]].shape[1], x[keep[1]].shape[1])
+            top = _top_eigvecs(pair @ pair.conj().transpose(0, 2, 1))
+            env = (top.conj()[:, None, :] @ pair)[:, 0, :]
+            new = [top, env]
+        else:
+            new = [env]
+        norms = np.linalg.norm(env, axis=1)
+        dead = norms < _ZERO_NORM
+        new[-1] = env / np.maximum(norms, _ZERO_NORM)[:, None]
+        if rngs is None:
+            lost |= dead
+        else:
+            for row in np.flatnonzero(dead):
+                rng = rngs[prob[row]]
+                for f in new:
+                    z = rng.normal(size=f.shape[1]) + 1j * rng.normal(size=f.shape[1])
+                    f[row] = z / np.linalg.norm(z)
+                reinjections[prob[row]] += 1
+        norms[dead] = 0.0
+        alive = ~(dead | lost)
+        if prev is not None and (norms[alive] < prev[alive] - 1e-9).any():
+            raise NumericalFaultError("ascent monotonicity violated; numerical fault")
+        for t, f in zip(keep, new):
+            x[t] = f
+        prev = norms
+    return np.where(lost, -1.0, prev)
+
+
+def _extrapolate(x_prev: np.ndarray, x: np.ndarray, beta: float) -> np.ndarray:
+    """Unit rows along x + beta (x - x_prev), with x_prev first rotated by the
+    phase of <x_prev, x> so that the difference carries no global phase."""
+    c = np.einsum("rd,rd->r", x_prev.conj(), x)
+    phase = np.where(np.abs(c) > 0, c / np.maximum(np.abs(c), _ZERO_NORM), 1.0)
+    e = x + beta * (x - x_prev * phase[:, None])
+    return e / np.linalg.norm(e, axis=1, keepdims=True)
 
 
 def _ascent(tensors, partitions, config: OptimizerConfig) -> list[OverlapResult]:
@@ -371,7 +447,7 @@ def _ascent(tensors, partitions, config: OptimizerConfig) -> list[OverlapResult]
     factors = [np.concatenate(block) for block in zip(*starts)]
     lam2 = np.zeros(n_prob * r)
     prev_sweep = np.full(n_prob * r, -1.0)
-    prev_overlap = np.zeros(n_prob * r)
+    overlap = np.zeros(n_prob * r)
     iterations = np.full(n_prob * r, config.max_iterations, dtype=int)
     converged = np.zeros(n_prob * r, dtype=bool)
     active = np.ones(n_prob * r, dtype=bool)
@@ -381,36 +457,24 @@ def _ascent(tensors, partitions, config: OptimizerConfig) -> list[OverlapResult]
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        for keep, rest, mats in steps:
-            outer = _conj_outer(factors, rest, idx)
-            # One problem needs no per-row copy of its matrix: a plain product is faster.
-            env = outer @ mats[0] if n_prob == 1 else (outer[:, None, :] @ mats[idx // r])[:, 0]
-            if len(keep) == 2:
-                # keep[0] is the smaller block, so the Gram matrix is the smaller one.
-                pair = env.reshape(idx.size, dims[keep[0]], dims[keep[1]])
-                top = _top_eigvecs(pair @ pair.conj().transpose(0, 2, 1))
-                env = (top.conj()[:, None, :] @ pair)[:, 0, :]
-                new = [top, env]
-            else:
-                new = [env]
-            norms = np.linalg.norm(env, axis=1)
-            dead = norms < _ZERO_NORM
-            new[-1] = env / np.maximum(norms, _ZERO_NORM)[:, None]
-            for row in np.flatnonzero(dead):
-                rng = rngs[idx[row] // r]
-                for t, f in zip(keep, new):
-                    z = rng.normal(size=dims[t]) + 1j * rng.normal(size=dims[t])
-                    f[row] = z / np.linalg.norm(z)
-                norms[row] = 0.0
-                prev_overlap[idx[row]] = 0.0
-                reinjections[idx[row] // r] += 1
-            alive = ~dead
-            if (norms[alive] < prev_overlap[idx][alive] - 1e-9).any():
-                raise NumericalFaultError("ascent monotonicity violated; numerical fault")
-            for t, f in zip(keep, new):
-                factors[t][idx] = f
-            prev_overlap[idx] = norms
-        lam2[idx] = prev_overlap[idx] ** 2
+        prob = idx // r
+        x_prev = [f[idx] for f in factors]
+        x = list(x_prev)  # the sweep replaces every entry, so x_prev keeps the old rows
+        value = _sweep(steps, x, prob, overlap[idx], rngs, reinjections)
+        if sweep >= 2:
+            # The extrapolated try: one more sweep from beyond x along the
+            # sweep's step, kept only where it ends strictly higher.
+            x_try = [_extrapolate(a, b, sweep / 3) for a, b in zip(x_prev, x)]
+            tried = _sweep(steps, x_try, prob, None)
+            won = tried > value
+            if won.any():
+                for a, b in zip(x, x_try):
+                    a[won] = b[won]
+                value = np.where(won, tried, value)
+        for f, a in zip(factors, x):
+            f[idx] = a
+        overlap[idx] = value
+        lam2[idx] = value ** 2
         done = np.abs(lam2[idx] - prev_sweep[idx]) < config.tol
         newly = idx[done]
         iterations[newly] = sweep

@@ -9,7 +9,7 @@ import pytest
 
 import geoent as ge
 from geoent import cli, reports
-from geoent.cli import NUMERIC_ERROR, main
+from geoent.cli import NUMERIC_ERROR, USAGE_ERROR, main
 
 
 def run(*argv):
@@ -106,6 +106,11 @@ class TestEgkCommand:
 
     def test_missing_file(self, tmp_path):
         assert run("egk", tmp_path / "nope.json", "--k", 2) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tol_is_usage_error(self, w4_file, tol, capsys):
+        assert run("egk", w4_file, "--k", 3, "--tol", tol) == USAGE_ERROR
+        assert "error: tol must be finite" in capsys.readouterr().err
 
     def test_numerical_fault_exit_code(self, w4_file, monkeypatch, capsys):
         def fault(*args, **kwargs):

@@ -67,6 +67,15 @@ class TestConfigAndTypes:
             ge.OptimizerConfig(restarts=0)
         with pytest.raises(DomainError):
             ge.OptimizerConfig(tol=0.0)
+        # An infinite tol stopped every restart at sweep 2 (W(3) 1|1|1 read
+        # 0.444405 for 4/9, converged); a nan one never stopped a restart.
+        for kwargs in ({"tol": float("inf")}, {"tol": float("nan")}, {"tol": -1e-12},
+                       {"restarts": 2.5}, {"restarts": True}, {"restarts": -3},
+                       {"max_iterations": 10.0}, {"max_iterations": False},
+                       {"max_iterations": 0}, {"grid_resolution": 2.5},
+                       {"grid_resolution": 1}):
+            with pytest.raises(DomainError):
+                ge.OptimizerConfig(**kwargs)
 
     def test_product_state_validation(self):
         partition = ge.Partition(((1,), (2, 3)))
@@ -271,6 +280,61 @@ class TestKnownMisses:
         result = ge.best_overlap(psi, ge.Partition(blocks),
                                  ge.OptimizerConfig(restarts=16, seed=seed))
         assert result.e_g <= recorded + 1e-9
+
+
+@pytest.fixture
+def sweep_passes(monkeypatch):
+    """A counter of the ascent's sweep passes, plain and extrapolated: a
+    three-block sweep has one pair step, which calls ``_top_eigvecs`` once."""
+    from geoent import optimizer
+
+    count = [0]
+    real = optimizer._top_eigvecs
+
+    def counted(gram):
+        count[0] += 1
+        return real(gram)
+
+    monkeypatch.setattr(optimizer, "_top_eigvecs", counted)
+    return count
+
+
+class TestExtrapolatedTry:
+    # Degenerate maxima: without the try, the losing restarts crawl for
+    # 4057-4154 passes after the winner converged at sweep 2.
+    @pytest.mark.parametrize("n, excitations, blocks, value", [
+        (7, 2, ((1,), (2, 3, 4), (5, 6, 7)), 3 / 7),
+        (6, 3, ((1, 2), (3, 4), (5, 6)), 2 / 5),
+    ], ids=["magnon7_2-1|3|3", "magnon6_3-2|2|2"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_crawls_end(self, n, excitations, blocks, value, seed, sweep_passes):
+        result = ge.best_overlap(ge.magnon(n, excitations), ge.Partition(blocks),
+                                 ge.OptimizerConfig(seed=seed))
+        assert result.lambda2 == pytest.approx(value, abs=1e-12)
+        assert sweep_passes[0] <= 1000
+
+    def test_wghz_phi_pi_next_to_w(self, sweep_passes):
+        # Figure 1's W+GHZ curve at phi = pi, eta index 1 of 101: without the
+        # try the ascent took 437 passes and stopped at E = 0.5498926743800188.
+        eta = np.linspace(0.0, np.pi / 2, 101)[1]
+        psi = ge.superpose(np.cos(eta), ge.w(3), np.sin(eta), np.pi, ge.ghz(3))
+        result = ge.best_overlap(psi, ge.Partition(((1,), (2,), (3,))),
+                                 ge.OptimizerConfig(seed=1))
+        assert sweep_passes[0] <= 150
+        assert result.e_g <= 0.5498926743800188
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_monotone_in_sweeps_on_degenerate_maximum(self, seed, sweep_passes):
+        # At 4 restarts magnon(6,3)'s winner on 2|2|2 is a crawling restart,
+        # and every sweep from the second on runs the try: m sweeps, 2m - 1 passes.
+        psi, partition = ge.magnon(6, 3), ge.Partition(((1, 2), (3, 4), (5, 6)))
+        values = []
+        for m in range(1, 13):
+            sweep_passes[0] = 0
+            config = ge.OptimizerConfig(restarts=4, seed=seed, max_iterations=m)
+            values.append(ge.best_overlap(psi, partition, config).lambda2)
+            assert sweep_passes[0] == 2 * m - 1
+        assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 class TestBestOverlap:
