@@ -40,11 +40,14 @@ r = ge.best_overlap(ge.ghz(6), ge.Partition(((1, 4), (2, 5), (3, 6))), config)
 print(f"ghz(6) vs 1,4|2,5|3,6:  E = {r.e_g:.12f}  "
       f"bound 1 - upper_bound = {1 - r.upper_bound:.12f}  sweeps: {r.iterations}")
 
-# An independent brute-force check: grid the small factor's angles and
-# phases, close the large factor exactly, refine locally.
-oracle = ge.grid_oracle(ge.w(3), partition, resolution=40)
-print(f"grid oracle on w(3): lambda2 = {oracle.lambda2:.9f} "
-      f"({oracle.iterations} grid points)")
+# An independent certified check on a K = 3 partition with a one-qubit block:
+# branch and bound on that qubit's Bloch sphere brackets Lambda^2 in [lo, hi].
+# W's maximum lies on an orbit, so the interval ends on its cell count.
+full = ge.Partition(((1,), (2,), (3,)))
+ascent = ge.best_overlap(ge.w(3), full, config)
+lo, hi = ge.qubit_block_interval(ge.w(3), full)
+print(f"w(3) vs 1|2|3: ascent lambda2 = {ascent.lambda2:.12f}  "
+      f"certified interval [{lo:.12f}, {hi:.12f}] (4/9 = {4 / 9:.12f})")
 
 # For bipartitions of arbitrary states the optimizer returns the largest
 # Schmidt coefficient; compare against scipy's singular values.

@@ -41,14 +41,13 @@ from .hierarchy import (
     scale_invariance_check,
     sweep_eta,
 )
-from .hyperspherical import angles_to_amplitudes
 from .optimizer import (
     OptimizerConfig,
     OverlapResult,
     ProductState,
     best_overlap,
     best_overlaps,
-    grid_oracle,
+    qubit_block_interval,
 )
 from .partitions import (
     Partition,

@@ -26,12 +26,13 @@ sweep t = 2 on, each sweep that takes the factors x_prev to x also makes an
 extrapolated try (cf. Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl.
 30, 2008): with each block's x_prev rotated by the phase of <x_prev, x>, one
 more sweep runs from the normalized x + beta_t (x - x_prev), beta_t = t/3,
-and its result replaces x only where its overlap is strictly higher. Every kept point is the output
-of an exact sweep, so monotonicity and every stop keep their meaning.
+and its result replaces x only where its overlap is strictly higher. Every
+kept point is the output of an exact sweep, so monotonicity and every stop
+keep their meaning.
 
-grid_oracle is a deliberately separate brute-force maximizer used as an
-independent reference in tests; it shares no iteration logic with the
-ascent solver.
+``qubit_block_interval`` brackets Lambda^2 of a K = 3 partition with a
+one-qubit block by branch and bound on that qubit's Bloch sphere. It shares
+only ``_blocked_tensor`` with the ascent, so it is an independent reference.
 """
 
 from __future__ import annotations
@@ -40,32 +41,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
-from .errors import DomainError, NumericalFaultError, ResourceCapError, ShapeMismatchError
-from .hyperspherical import angles_to_amplitudes
+from .errors import DomainError, NumericalFaultError, ShapeMismatchError
 from .partitions import Partition
 from .states import PureState
 
 _ZERO_NORM = 1e-120
 _GAUGE_EPS = 1e-14
-_MAX_GRID_POINTS = 200_000_000
-_GRID_CHUNK = 65536
 _BATCH_AMPLITUDES = 1 << 18  # problems x restarts x 2^N per ascent run (4 MB per matrix copy)
+_INTERVAL_GAP = 1e-10  # qubit_block_interval stops refining at this hi - lo
+_INTERVAL_CELLS = 1 << 14  # and makes at most this many cells
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multistart ascent (and the oracle's default resolution)."""
+    """Knobs for the multistart ascent."""
 
     restarts: int = 64
     max_iterations: int = 10000
     tol: float = 1e-12
     seed: int = 0
-    grid_resolution: int = 40
 
     def __post_init__(self):
-        for name, least in (("restarts", 1), ("max_iterations", 1), ("grid_resolution", 2)):
+        for name, least in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -151,28 +149,6 @@ def _blocked_tensor(psi: PureState, partition: Partition) -> np.ndarray:
     return np.ascontiguousarray(psi.tensor.transpose(axes)).reshape(dims)
 
 
-def _environment(psi_k: np.ndarray, factors_conj: list[np.ndarray], skip: int) -> np.ndarray:
-    """Contract the state against every conjugated factor except ``skip``.
-
-    ``factors_conj[t]`` has shape (R, d_t); the result has shape (R, d_skip)
-    and is the vector v with <Phi|Psi> = <phi_skip|v>. Contraction order is
-    fixed (descending block dimension) so results are bit-reproducible.
-    """
-    k = psi_k.ndim
-    order = sorted((t for t in range(k) if t != skip), key=lambda t: (-psi_k.shape[t], t))
-    if not order:
-        r = factors_conj[0].shape[0] if factors_conj else 1
-        return np.tile(psi_k.reshape(1, -1), (r, 1))
-    t0 = order[0]
-    env = np.tensordot(factors_conj[t0], psi_k, axes=(1, t0))
-    remaining = [t for t in range(k) if t != t0]
-    for t in order[1:]:
-        pos = 1 + remaining.index(t)
-        env = np.einsum("r...d,rd->r...", np.moveaxis(env, pos, -1), factors_conj[t])
-        remaining.remove(t)
-    return env.reshape(env.shape[0], -1)
-
-
 def _coarsening_bound(psi_k: np.ndarray) -> float:
     """Smallest sigma_max^2 over the 2^(K-1) - 1 coarsenings into two groups.
 
@@ -202,9 +178,7 @@ def _gauge_fix(factors: np.ndarray) -> np.ndarray:
 def _single_excitation_uniform(d: int) -> np.ndarray:
     m = d.bit_length() - 1
     v = np.zeros(d, dtype=np.complex128)
-    v[[2 ** p for p in range(m)]] = 1.0 / np.sqrt(m) if m else 1.0
-    if m == 0:
-        v[0] = 1.0
+    v[[2 ** p for p in range(m)]] = 1.0 / np.sqrt(m)
     return v
 
 
@@ -267,9 +241,7 @@ def _initial_factors(dims, config, partition) -> tuple[list[np.ndarray], np.rand
     n_det = min(4 + 3 * len(dims), max(1, r // 2))
     det = _deterministic_starts(list(dims), n_det)
     n_det = len(det)
-    seed_seq = np.random.SeedSequence(
-        [int(config.seed) & 0x7FFFFFFF] + _partition_seed_material(partition)
-    )
+    seed_seq = np.random.SeedSequence([config.seed] + _partition_seed_material(partition))
     rng = np.random.default_rng(seed_seq)
     factors = []
     for t, d in enumerate(dims):
@@ -509,133 +481,75 @@ def _ascent(tensors, partitions, config: OptimizerConfig) -> list[OverlapResult]
 
 
 # ---------------------------------------------------------------------------
-# brute-force reference maximizer
+# certified interval on a qubit's Bloch sphere
 # ---------------------------------------------------------------------------
 
-def _batch_hyperspherical(angle_grid: np.ndarray) -> np.ndarray:
-    """angles (rows, d-1) -> nonnegative unit vectors (rows, d)."""
-    rows, dm1 = angle_grid.shape
-    v = np.empty((rows, dm1 + 1))
-    prefix = np.ones(rows)
-    for L in range(dm1):
-        v[:, L] = prefix * np.cos(angle_grid[:, L])
-        prefix = prefix * np.sin(angle_grid[:, L])
-    v[:, dm1] = prefix
-    return v
+def _qubit_pencil(psi_k: np.ndarray) -> np.ndarray:
+    """The pencil (A0, Ax, Ay, Az) of ``qubit_block_interval``, shape (4, d, d),
+    for the first one-qubit block of a K = 3 tensor; d is the smaller other block."""
+    qubit = psi_k.shape.index(2)
+    rest = sorted((t for t in range(3) if t != qubit), key=lambda t: psi_k.shape[t])
+    slices = psi_k.transpose(qubit, *rest)
+    g = np.einsum("ibk,jck->ijbc", slices, slices.conj())
+    return np.stack([g[0, 0] + g[1, 1], g[0, 1] + g[1, 0],
+                     1j * (g[0, 1] - g[1, 0]), g[0, 0] - g[1, 1]]) / 2
 
 
-def _params_to_factor(params: np.ndarray, d: int) -> np.ndarray:
-    """One parameter row (2d-2,) -> complex unit factor with first phase 0."""
-    moduli = angles_to_amplitudes(params[: d - 1])
-    phases = np.concatenate([[0.0], params[d - 1:]])
-    return moduli * np.exp(1j * phases)
+def _pencil_top(pencil: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """lambda_max(A0 + u.(Ax, Ay, Az)) for each Bloch vector u in the last axis
+    of ``points``: closed form for 2 x 2, else batched eigvalsh."""
+    h = pencil[0] + np.tensordot(points.reshape(-1, 3), pencil[1:], axes=1)
+    if h.shape[-1] > 2:
+        return np.linalg.eigvalsh(h)[:, -1]
+    p, q = h[:, 0, 0].real, h[:, 1, 1].real
+    return (p + q) / 2 + np.hypot((p - q) / 2, np.abs(h[:, 0, 1]))
 
 
-def _grid_factors(params: np.ndarray, d: int) -> np.ndarray:
-    moduli = _batch_hyperspherical(params[:, : d - 1])
-    phases = np.concatenate([np.zeros((params.shape[0], 1)), params[:, d - 1:]], axis=1)
-    return moduli * np.exp(1j * phases)
+def qubit_block_interval(psi: PureState, partition: Partition) -> tuple[float, float]:
+    """Bounds (lo, hi) on Lambda^2 of a K = 3 partition A|B|C with a one-qubit A.
 
+    With A's factor a fixed, Lambda^2 is sigma_max^2 of M(a) = sum_i conj(a_i)
+    psi_i, psi_i the B x C slice at A = i. On the smaller of B and C, M M^dagger
+    is the pencil A0 + u.(Ax, Ay, Az) in a's Bloch vector u: with
+    G_ij = psi_i psi_j^dagger, A0 = (G00 + G11)/2, Ax = (G01 + G10)/2,
+    Ay = i(G01 - G10)/2 and Az = (G00 - G11)/2. Its lambda_max is convex in
+    u, so Lambda^2 is its maximum over the sphere and, on a polytope, over the
+    vertices (cf. Chen, Xu & Zhu, PRA 82, 032301, 2010).
 
-def grid_oracle(psi: PureState, partition: Partition, resolution: int = 40) -> OverlapResult:
-    """Brute-force reference maximizer: exhaustive grid plus local refinement.
-
-    All blocks but the largest are gridded over their hyperspherical angles
-    and relative phases; the largest factor is closed exactly, because for a
-    fixed remainder the optimum over one unit factor is the contraction norm
-    (a linear closure, not an iterative step). The best grid point is then
-    polished with a derivative-free local search. Intended as an independent
-    test oracle for small systems; refuses when the grid would be too large.
+    Branch and bound over the octahedron's 8 spherical triangles, each split
+    into 4 at normalized edge midpoints. A cell lies in the frustum
+    conv{v_i, v_i/h}, h the distance of its chord plane from the origin, so
+    the largest value at those 6 points bounds it from above; its vertices
+    and normalized centroid lie on the sphere and bound Lambda^2 from below.
+    The cells above lo + ``_INTERVAL_GAP`` are split, highest first, until
+    none is left or ``_INTERVAL_CELLS`` cells were made; the interval is
+    rigorous either way, and a maximum on an orbit ends on the cell count.
     """
     psi_k = _blocked_tensor(psi, partition)
-    dims = list(psi_k.shape)
-    k = len(dims)
-    if k == 1:
-        return best_overlap(psi, partition, OptimizerConfig(restarts=1))
-    closed = k - 1  # canonical order puts a largest block last
-    gridded = [s for s in range(k) if s != closed]
-    n_params = sum(2 * dims[s] - 2 for s in gridded)
-    if n_params > 10:
-        raise ResourceCapError(
-            f"grid oracle supports at most 10 gridded parameters, needs {n_params}"
-        )
-    total = resolution ** n_params
-    if total > _MAX_GRID_POINTS:
-        raise ResourceCapError(
-            f"{total} grid points exceed the cap of {_MAX_GRID_POINTS}; "
-            "lower the resolution"
-        )
-
-    angle_axis = np.linspace(0.0, np.pi / 2, resolution)
-    phase_axis = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
-    # parameter layout: per gridded block, d-1 angles then d-1 phases
-    param_axes = []
-    for s in gridded:
-        param_axes += [angle_axis] * (dims[s] - 1) + [phase_axis] * (dims[s] - 1)
-
-    def params_for(flat: np.ndarray) -> np.ndarray:
-        cols = []
-        rem = flat
-        for axis in reversed(param_axes):
-            rem, digit = np.divmod(rem, resolution)
-            cols.append(axis[digit])
-        return np.stack(cols[::-1], axis=-1)
-
-    best_value = -1.0
-    best_flat = 0
-    for start in range(0, total, _GRID_CHUNK):
-        flat = np.arange(start, min(start + _GRID_CHUNK, total))
-        params = params_for(flat)
-        fcs = [None] * k
-        offset = 0
-        for s in gridded:
-            width = 2 * dims[s] - 2
-            fcs[s] = _grid_factors(params[:, offset:offset + width], dims[s]).conj()
-            offset += width
-        env = _environment(psi_k, fcs, closed)
-        norms = np.linalg.norm(env, axis=1)
-        arg = int(np.argmax(norms))
-        if norms[arg] > best_value:
-            best_value = float(norms[arg])
-            best_flat = int(flat[arg])
-
-    x0 = params_for(np.array([best_flat]))[0]
-    splits = np.cumsum([2 * dims[s] - 2 for s in gridded])[:-1]
-    bounds = []
-    for s in gridded:
-        bounds += [(0.0, np.pi / 2)] * (dims[s] - 1) + [(0.0, 2 * np.pi)] * (dims[s] - 1)
-
-    def assemble(x):
-        parts = np.split(x, splits)
-        fcs = [None] * k
-        for j, s in enumerate(gridded):
-            fcs[s] = _params_to_factor(parts[j], dims[s]).conj().reshape(1, -1)
-        return fcs
-
-    def neg_value(x):
-        env = _environment(psi_k, assemble(x), closed)
-        return -float(np.linalg.norm(env[0]))
-
-    res = scipy.optimize.minimize(neg_value, x0, method="Powell", bounds=bounds,
-                                  options={"xtol": 1e-10, "ftol": 1e-14})
-    x_best = res.x if -res.fun >= best_value else x0
-    fcs = assemble(x_best)
-    env = _environment(psi_k, fcs, closed)[0]
-    norm = np.linalg.norm(env)
-    factors = [None] * k
-    parts = np.split(x_best, splits)
-    for j, s in enumerate(gridded):
-        factors[s] = _params_to_factor(parts[j], dims[s])
-    factors[closed] = env / norm if norm > _ZERO_NORM else _single_excitation_uniform(dims[closed])
-    product = ProductState(partition, tuple(factors))
-    lam2 = float(norm ** 2)
-    return OverlapResult(
-        lambda2=lam2,
-        e_g=1.0 - lam2,
-        argmax=product,
-        partition=partition,
-        iterations=total,
-        converged=True,
-        winner_restart=0,
-        upper_bound=_coarsening_bound(psi_k),
-    )
+    if psi_k.ndim != 3 or 2 not in psi_k.shape:
+        raise DomainError(f"the interval needs K = 3 with a one-qubit block, got {partition.text}")
+    pencil = _qubit_pencil(psi_k)
+    signs = np.array([(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)], dtype=float)
+    cells = signs[:, :, None] * np.eye(3)  # cells[i, j] is vertex j of cell i
+    lo = settled = -np.inf
+    made = len(cells)
+    while len(cells):
+        centroid = cells.sum(axis=1)
+        centroid /= np.linalg.norm(centroid, axis=1, keepdims=True)
+        normal = np.cross(cells[:, 1] - cells[:, 0], cells[:, 2] - cells[:, 0])
+        h = np.abs((normal * cells[:, 0]).sum(axis=1)) / np.linalg.norm(normal, axis=1)
+        at_vertices = _pencil_top(pencil, cells).reshape(-1, 3)
+        lo = max(lo, at_vertices.max(), _pencil_top(pencil, centroid).max())
+        beyond = _pencil_top(pencil, cells / h[:, None, None]).reshape(-1, 3)
+        upper = np.maximum(at_vertices, beyond).max(axis=1)
+        order = np.argsort(-upper, kind="stable")
+        n_split = min(int((upper > lo + _INTERVAL_GAP).sum()), (_INTERVAL_CELLS - made) // 4)
+        settled = max(settled, upper[order[n_split:]].max(initial=-np.inf))
+        v = cells[order[:n_split]]
+        mid = v + v[:, [1, 2, 0]]  # mid[:, j] lies on the edge from vertex j to j + 1
+        mid /= np.linalg.norm(mid, axis=2, keepdims=True)
+        cells = np.concatenate([np.stack([v[:, 0], mid[:, 0], mid[:, 2]], axis=1),
+                                np.stack([mid[:, 0], v[:, 1], mid[:, 1]], axis=1),
+                                np.stack([mid[:, 2], mid[:, 1], v[:, 2]], axis=1), mid])
+        made += len(cells)
+    return float(lo), float(max(lo, settled))

@@ -255,10 +255,12 @@ def test_criterion_09_figure_spot_checks(config):
 
 
 def test_criterion_10_oracle_cross_validation(config):
-    # 1|2,3 is solved by an SVD; 1|2|3 keeps the multistart ascent under the oracle.
+    # 1|2,3 is solved by an SVD; 1|2|3 keeps the multistart ascent under a
+    # certified interval.
     report = run_verify(config, suites=["oracle"])
     record(10, report.passed,
-           "SVD (1|2,3) and ascent (1|2|3) vs grid oracle on 20 random 3-qubit states")
+           "SVD vs reduced density matrix (1|2,3), ascent in certified interval (1|2|3), "
+           "20 random 3-qubit states")
     lines = report.results[0].lines
     assert len(lines) == 2 and "1|2|3" in lines[1], lines
     assert report.passed, reports.render_report(report)

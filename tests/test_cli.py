@@ -112,6 +112,10 @@ class TestEgkCommand:
         assert run("egk", w4_file, "--k", 3, "--tol", tol) == USAGE_ERROR
         assert "error: tol must be finite" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, w4_file, capsys):
+        assert run("egk", w4_file, "--k", 3, "--seed", -1) == USAGE_ERROR
+        assert "error: seed must be an integer >= 0" in capsys.readouterr().err
+
     def test_numerical_fault_exit_code(self, w4_file, monkeypatch, capsys):
         def fault(*args, **kwargs):
             raise ge.NumericalFaultError("ascent monotonicity violated; numerical fault")

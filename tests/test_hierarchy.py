@@ -52,8 +52,8 @@ class TestRelative:
         partition = ge.representative_partition(ge.Shape((1, 1, 2)))
         psi = ge.magnon(4, 2)
         ascent = ge.best_overlap(psi, partition, config)
-        oracle = ge.grid_oracle(psi, partition, 20)
-        assert ascent.e_g == pytest.approx(oracle.e_g, abs=1e-4)
+        lo, hi = ge.qubit_block_interval(psi, partition)
+        assert lo - 1e-9 <= ascent.lambda2 <= hi + 1e-12
         assert ascent.e_g == pytest.approx(0.583, abs=5e-4)
 
 
@@ -243,6 +243,29 @@ class TestSweepEta:
         assert [eta for eta, _ in rows] == list(etas)
         lone = _lone_e3(etas, phi, ge.ghz(3), config)
         _assert_within(np.array([e for _, e in rows]), lone, 1e-12)
+
+    def test_w_ghz3_pi_eta_index_1_in_interval(self):
+        # Figure 1's W+GHZ curve at phi = pi, eta index 1 of 101, alone at seed 1.
+        eta = np.linspace(0.0, np.pi / 2, 101)[1]
+        psi = ge.superpose(np.cos(eta), ge.w(3), np.sin(eta), np.pi, ge.ghz(3))
+        value = ge.best_overlap(psi, FULL3, ge.OptimizerConfig(seed=1)).lambda2
+        lo, hi = ge.qubit_block_interval(psi, FULL3)
+        assert lo == pytest.approx(0.4501073256346152, abs=1e-12)
+        assert hi == pytest.approx(0.4501073257241275, abs=1e-12)
+        assert lo - 1e-9 <= value <= hi + 1e-12
+        assert hi - value <= 1e-10
+
+    @pytest.mark.parametrize("family, phi", [("w_w_tilde", 0.0), ("w_ghz3", 0.0), ("w_ghz3", np.pi)])
+    def test_figure_one_points_in_interval(self, family, phi):
+        # Away from the endpoints, whose maxima lie on orbits, each interval
+        # closes to 1e-10 in a few ms.
+        etas = np.linspace(0.0, np.pi / 2, 101)[[1, 25, 32, 50, 75, 99]]
+        other = ge.w_tilde3() if family == "w_w_tilde" else ge.ghz(3)
+        for eta, e in ge.sweep_eta(family, etas, ge.OptimizerConfig(seed=1), phi=phi, k=3):
+            psi = ge.superpose(np.cos(eta), ge.w(3), np.sin(eta), phi, other)
+            lo, hi = ge.qubit_block_interval(psi, FULL3)
+            assert lo - 1e-9 <= 1.0 - e <= hi + 1e-12
+            assert hi - lo <= 1e-10
 
     def test_phi_of_wrong_length(self, config):
         with pytest.raises(DomainError):

@@ -4,8 +4,9 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import geoent as ge
-from geoent.errors import DomainError, ResourceCapError, ShapeMismatchError
-from geoent.optimizer import _top_eigvecs
+from geoent import reports
+from geoent.errors import DomainError, ShapeMismatchError
+from geoent.optimizer import _blocked_tensor, _pencil_top, _qubit_pencil, _top_eigvecs
 
 
 def schmidt_lambda2(psi, partition):
@@ -47,10 +48,11 @@ def contraction(psi, product, keep):
 
 
 @st.composite
-def random_cases(draw):
-    """(state, partition, rng) with 2 <= K <= N <= 5: even K, whose sweeps
-    are pairs only, and odd K, whose sweeps also update one block alone."""
-    k = draw(st.integers(2, 5))
+def random_cases(draw, ks=(2, 5)):
+    """(state, partition, rng) with ks[0] <= K <= ks[1] and K <= N <= 5: by
+    default even K, whose sweeps are pairs only, and odd K, whose sweeps also
+    update one block alone."""
+    k = draw(st.integers(*ks))
     n = draw(st.integers(k, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     partitions = sorted(ge.set_partitions(n, k), key=lambda p: p.sort_key())
@@ -72,10 +74,21 @@ class TestConfigAndTypes:
         for kwargs in ({"tol": float("inf")}, {"tol": float("nan")}, {"tol": -1e-12},
                        {"restarts": 2.5}, {"restarts": True}, {"restarts": -3},
                        {"max_iterations": 10.0}, {"max_iterations": False},
-                       {"max_iterations": 0}, {"grid_resolution": 2.5},
-                       {"grid_resolution": 1}):
+                       {"max_iterations": 0}, {"seed": -1}, {"seed": True},
+                       {"seed": 1.5}):
             with pytest.raises(DomainError):
                 ge.OptimizerConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_seeds_2_to_the_31_apart_differ(self, seed):
+        # The seed once entered the generator masked to 31 bits, so these
+        # two runs were bitwise identical.
+        psi, partition = ge.random_state(4, 0), ge.Partition(((1,), (2,), (3, 4)))
+        a, b = (ge.best_overlap(psi, partition, ge.OptimizerConfig(restarts=16, seed=s))
+                for s in (seed, seed + 2 ** 31))
+        assert a.lambda2 == pytest.approx(b.lambda2, abs=1e-12)
+        assert a.winner_restart != b.winner_restart or not all(
+            np.array_equal(x, y) for x, y in zip(a.argmax.factors, b.argmax.factors))
 
     def test_product_state_validation(self):
         partition = ge.Partition(((1,), (2, 3)))
@@ -496,36 +509,55 @@ class TestCertifiedStop:
         assert result.converged and result.iterations == 0
 
 
-class TestGridOracle:
-    def test_w3(self):
-        result = ge.grid_oracle(ge.w(3), ge.Partition(((1,), (2, 3))), 40)
-        assert result.lambda2 == pytest.approx(2 / 3, abs=1e-4)
+class TestQubitBlockInterval:
+    @invariance_settings
+    @given(random_cases(ks=(3, 3)))
+    def test_ascent_inside_interval(self, case):
+        # Every K = 3 partition of N <= 5 qubits has a one-qubit block, and
+        # 1|2|2 takes the 4 x 4 eigvalsh path.
+        psi, partition, _ = case
+        value = ge.best_overlap(psi, partition, ge.OptimizerConfig()).lambda2
+        lo, hi = ge.qubit_block_interval(psi, partition)
+        assert lo - 1e-9 <= value <= hi + 1e-12
 
-    def test_bell(self):
-        result = ge.grid_oracle(ge.ghz(2), ge.Partition(((1,), (2,))), 40)
-        assert result.lambda2 == pytest.approx(0.5, abs=1e-6)
+    @pytest.mark.parametrize("n, blocks", [(3, ((2,), (1,), (3,))), (4, ((3,), (1, 2), (4,))),
+                                           (5, ((1, 4), (2,), (3, 5)))])
+    def test_pencil_is_sigma_max_squared(self, n, blocks):
+        rng = np.random.default_rng(n)
+        psi_k = _blocked_tensor(ge.random_state(n, rng), ge.Partition(blocks))
+        qubit = psi_k.shape.index(2)
+        pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+        for _ in range(5):
+            a = rng.normal(size=2) + 1j * rng.normal(size=2)
+            a /= np.linalg.norm(a)
+            bloch = np.array([np.vdot(a, s @ a).real for s in pauli])
+            m = np.tensordot(a.conj(), psi_k, axes=(0, qubit))
+            sigma = np.linalg.svd(m, compute_uv=False)[0]
+            assert _pencil_top(_qubit_pencil(psi_k), bloch)[0] == pytest.approx(sigma ** 2, abs=1e-12)
 
-    def test_cluster_2_2(self):
-        result = ge.grid_oracle(ge.cluster4(), ge.Partition(((1, 2), (3, 4))), 8)
-        assert result.lambda2 == pytest.approx(0.5, abs=1e-3)
+    @pytest.mark.parametrize("psi, blocks, exact", [
+        (ge.ghz(3), ((1,), (2,), (3,)), 0.5),
+        (ge.w(3), ((1,), (2,), (3,)), 4 / 9),
+        (ge.magnon(4, 2), ((1,), (2,), (3, 4)), 5 / 12),
+        (ge.w(6), ((1,), (2, 3), (4, 5, 6)), 0.5),
+    ], ids=["ghz3", "w3", "magnon4_2", "w6"])
+    def test_known_values(self, psi, blocks, exact):
+        # Maxima on orbits end on the cell count, with a gap of at most a few 1e-6.
+        lo, hi = ge.qubit_block_interval(psi, ge.Partition(blocks))
+        assert lo - 1e-12 <= exact <= hi + 1e-12
+        assert hi - lo <= 5e-6
 
-    def test_three_blocks(self):
-        result = ge.grid_oracle(
-            ge.magnon(4, 2), ge.Partition(((1,), (2,), (3, 4))), 16
-        )
-        assert result.lambda2 == pytest.approx(5 / 12, abs=1e-4)
+    def test_lowered_upper_end_is_caught(self, config, monkeypatch):
+        # Negative control: criterion 10 fails once hi is 1e-6 too low.
+        assert reports.run_verify(config, suites=["oracle"]).passed
+        real = reports.qubit_block_interval
+        monkeypatch.setattr(reports, "qubit_block_interval",
+                            lambda psi, p: (real(psi, p)[0], real(psi, p)[1] - 1e-6))
+        assert not reports.run_verify(config, suites=["oracle"]).passed
 
-    def test_argmax_realizes_value(self):
-        psi = ge.random_state(3, 9)
-        result = ge.grid_oracle(psi, ge.Partition(((1,), (2, 3))), 24)
-        realized = abs(ge.overlap(psi, result.argmax.assemble())) ** 2
-        assert realized == pytest.approx(result.lambda2, abs=1e-10)
-
-    def test_parameter_cap(self):
-        psi = ge.random_state(7, 1)
-        with pytest.raises(ResourceCapError):
-            ge.grid_oracle(psi, ge.Partition(((1, 2, 3), (4, 5, 6, 7))), 4)
-
-    def test_grid_size_cap(self):
-        with pytest.raises(ResourceCapError):
-            ge.grid_oracle(ge.cluster4(), ge.Partition(((1, 2), (3, 4))), 40)
+    @pytest.mark.parametrize("blocks", [((1,), (2, 3)), ((1,), (2,), (3,), (4,)),
+                                        ((1, 2), (3, 4), (5, 6))])
+    def test_needs_three_blocks_and_a_qubit(self, blocks):
+        partition = ge.Partition(blocks)
+        with pytest.raises(DomainError):
+            ge.qubit_block_interval(ge.random_state(partition.n, 0), partition)
