@@ -234,6 +234,21 @@ def _gamma_fractions(gamma) -> list[Fraction]:
     return out
 
 
+def _bisep_ratio(gamma, blocks) -> tuple[int, int]:
+    """The largest Lambda^2 over the bipartitions block | rest for per-qubit
+    weights, max(sum_A gamma^2, sum_notA gamma^2) / sum gamma^2, as a pair of
+    integers: each weight's ``as_integer_ratio`` scaled to the lcm of the
+    denominators, so the sums are of squared integers, exact for any rational
+    weights (floats included), and one correctly rounded int / int is a float.
+    """
+    ratios = [g.as_integer_ratio() for g in gamma]
+    scale = lcm(*(d for _, d in ratios))
+    squares = [(n * (scale // d)) ** 2 for n, d in ratios]
+    total = sum(squares)
+    inside = [sum(squares[q - 1] for q in block) for block in blocks]
+    return max(max(x, total - x) for x in inside), total
+
+
 def asym_w_bisep(gamma, block_a) -> ClosedFormValue:
     """Bipartition value for per-qubit excitation weights.
 
@@ -249,14 +264,7 @@ def asym_w_bisep(gamma, block_a) -> ClosedFormValue:
         raise DomainError("block must be a nonempty proper subset")
     if not block_a <= frozenset(range(1, n + 1)):
         raise DomainError(f"block labels must lie in 1..{n}")
-    # Squared numerators over the squared lcm of the denominators: integer sums
-    # and a single Fraction, exact for any rational weights.
-    scale = lcm(*(x.denominator for x in g))
-    squares = [(x.numerator * (scale // x.denominator)) ** 2 for x in g]
-    total = sum(squares)
-    in_a = sum(squares[q - 1] for q in block_a)
-    lam = Fraction(max(in_a, total - in_a), total)
-    return _from_exact_lambda2(lam, "asymw-bipartition")
+    return _from_exact_lambda2(Fraction(*_bisep_ratio(g, [block_a])), "asymw-bipartition")
 
 
 def asym_w_ksep_reduced(gamma, blocks) -> ClosedFormValue:

@@ -103,9 +103,8 @@ class HierarchyReport:
         }
 
 
-def _resolve_scan(psi: PureState, scan: str) -> str:
-    n = psi.num_qubits
-    if scan == "shapes" or (scan == "auto" and is_symmetric(psi)):
+def _resolve_scan(n: int, scan: str, symmetric: bool) -> str:
+    if scan == "shapes" or (scan == "auto" and symmetric):
         if n > _max_shape_scan():
             raise ResourceCapError(
                 f"N={n} exceeds the shape-scan cap of {_max_shape_scan()}"
@@ -148,7 +147,8 @@ def egk_absolute(psi: PureState, k: int, config: OptimizerConfig | None = None,
     if not 2 <= k <= psi.num_qubits:
         raise DomainError(f"need 2 <= K <= N, got K={k}, N={psi.num_qubits}")
     config = config or OptimizerConfig()
-    entry = _scan_k(psi, k, config, _resolve_scan(psi, scan), workers)
+    scan_mode = _resolve_scan(psi.num_qubits, scan, scan == "auto" and is_symmetric(psi))
+    entry = _scan_k(psi, k, config, scan_mode, workers)
     return entry.absolute_e, list(entry.argmin_partitions)
 
 
@@ -162,8 +162,8 @@ def full_hierarchy(psi: PureState, config: OptimizerConfig | None = None,
     """
     config = config or OptimizerConfig()
     n = psi.num_qubits
-    scan_mode = _resolve_scan(psi, scan)
     symmetric = is_symmetric(psi)
+    scan_mode = _resolve_scan(n, scan, symmetric)
     entries = {k: _scan_k(psi, k, config, scan_mode, workers) for k in range(2, n + 1)}
 
     # Descending sweep: re-running K-1 can only lower E^(K-1), which only

@@ -149,21 +149,23 @@ def _blocked_tensor(psi: PureState, partition: Partition) -> np.ndarray:
     return np.ascontiguousarray(psi.tensor.transpose(axes)).reshape(dims)
 
 
-def _coarsening_bound(psi_k: np.ndarray) -> float:
-    """Smallest sigma_max^2 over the 2^(K-1) - 1 coarsenings into two groups.
+def _coarsening_bounds(stack: np.ndarray) -> np.ndarray:
+    """Per problem of a stack of blocked tensors (axis 0), the smallest
+    sigma_max^2 over the 2^(K-1) - 1 coarsenings into two groups.
 
     A group is a nonempty set of blocks without the last one; the rest form
     the other group. Each coarsening's separable set contains the
     partition's, so each sigma_max^2 bounds Lambda^2 from above.
     """
-    k = psi_k.ndim
-    best = 1.0
+    dims = stack.shape[1:]
+    k = len(dims)
+    best = np.ones(stack.shape[0])
     for mask in range(1, 2 ** (k - 1)):
         group = [t for t in range(k) if mask >> t & 1]
         rest = [t for t in range(k) if not mask >> t & 1]
-        rows = int(np.prod([psi_k.shape[t] for t in group]))
-        mat = psi_k.transpose(group + rest).reshape(rows, -1)
-        best = min(best, float(np.linalg.svd(mat, compute_uv=False)[0]) ** 2)
+        rows = math.prod(dims[t] for t in group)
+        mats = stack.transpose([0] + [t + 1 for t in group + rest]).reshape(len(stack), rows, -1)
+        best = np.minimum(best, np.linalg.svd(mats, compute_uv=False)[:, 0] ** 2)
     return best
 
 
@@ -175,85 +177,51 @@ def _gauge_fix(factors: np.ndarray) -> np.ndarray:
     return factors * phase.conj()[:, None]
 
 
-def _single_excitation_uniform(d: int) -> np.ndarray:
-    m = d.bit_length() - 1
-    v = np.zeros(d, dtype=np.complex128)
-    v[[2 ** p for p in range(m)]] = 1.0 / np.sqrt(m)
-    return v
-
-
-def _two_excitation_uniform(d: int) -> np.ndarray:
-    m = d.bit_length() - 1
-    if m < 2:
-        v = np.zeros(d, dtype=np.complex128)
-        v[-1] = 1.0
-        return v
-    idx = [2 ** p + 2 ** q for p in range(m) for q in range(p)]
-    v = np.zeros(d, dtype=np.complex128)
-    v[idx] = 1.0 / np.sqrt(len(idx))
-    return v
-
-
-def _deterministic_starts(dims: list[int], count: int) -> list[list[np.ndarray]]:
-    """Fixed start menu: basis/uniform rows plus per-block excitation patterns.
+def _deterministic_starts(dims: list[int], count: int) -> list[np.ndarray]:
+    """Fixed start menu, one (count, d_t) array per block: on every block and
+    then on one block at a time, uniform rows and excitation patterns (unit
+    uniform superpositions of the basis states with a given number of ones).
 
     The per-block patterns make the known optima of the uniform-excitation
     families exact fixed points of the ascent, so those values are
     reproduced without iteration error.
     """
-    def e0(d):
-        v = np.zeros(d, dtype=np.complex128)
-        v[0] = 1.0
-        return v
-
-    def etop(d):
-        v = np.zeros(d, dtype=np.complex128)
-        v[-1] = 1.0
-        return v
-
-    def uniform(d):
-        return np.full(d, 1.0 / np.sqrt(d), dtype=np.complex128)
-
     k = len(dims)
-    menu: list[list[np.ndarray]] = [
-        [e0(d) for d in dims],
-        [uniform(d) for d in dims],
-        [_single_excitation_uniform(d) for d in dims],
-        [etop(d) for d in dims],
-    ]
-    for s in range(k):
-        menu.append([_single_excitation_uniform(d) if t == s else e0(d)
-                     for t, d in enumerate(dims)])
-    for s in range(k):
-        menu.append([_two_excitation_uniform(d) if t == s else e0(d)
-                     for t, d in enumerate(dims)])
-    for s in range(k):
-        menu.append([uniform(d) if t == s else e0(d) for t, d in enumerate(dims)])
-    return menu[:count]
+    menu = [[0] * k, [None] * k, [1] * k, [max(dims)] * k]  # None: uniform; max(dims): all ones
+    for ones in (1, 2, None):
+        menu += [[ones if t == s else 0 for t in range(k)] for s in range(k)]
+    starts = []
+    for t, d in enumerate(dims):
+        m = d.bit_length() - 1
+        weight = np.array([bin(i).count("1") for i in range(d)])
+        patterns = np.array([weight == j for j in range(m + 1)] + [weight >= 0],
+                            dtype=np.complex128)
+        patterns /= np.sqrt(patterns.real.sum(axis=1, keepdims=True))
+        pick = [m + 1 if row[t] is None else min(row[t], m) for row in menu[:count]]
+        starts.append(patterns[pick])
+    return starts
 
 
-def _partition_seed_material(partition: Partition) -> list[int]:
-    return [sum(1 << (q - 1) for q in block) for block in partition.blocks]
-
-
-def _initial_factors(dims, config, partition) -> tuple[list[np.ndarray], np.random.Generator]:
+def _initial_factors(dims, config, partitions) -> tuple[list[np.ndarray], list]:
+    """Every problem's starts, one (problems x restarts, d_t) array per block:
+    the start menu, then unit rows drawn block by block from the problem's
+    own generator (returned too), seeded by the config seed and its blocks."""
     r = config.restarts
     n_det = min(4 + 3 * len(dims), max(1, r // 2))
-    det = _deterministic_starts(list(dims), n_det)
-    n_det = len(det)
-    seed_seq = np.random.SeedSequence([config.seed] + _partition_seed_material(partition))
-    rng = np.random.default_rng(seed_seq)
+    det = _deterministic_starts(dims, n_det)
+    rngs = [np.random.default_rng(np.random.SeedSequence(
+        [config.seed] + [sum(1 << (q - 1) for q in block) for block in p.blocks]))
+        for p in partitions]
     factors = []
     for t, d in enumerate(dims):
-        f = np.empty((r, d), dtype=np.complex128)
-        for i in range(n_det):
-            f[i] = det[i][t]
-        n_rand = r - n_det
-        if n_rand > 0:
-            z = rng.normal(size=(n_rand, d)) + 1j * rng.normal(size=(n_rand, d))
-            f[n_det:] = z / np.linalg.norm(z, axis=1, keepdims=True)
-        factors.append(f)
-    return factors, rng
+        f = np.empty((len(partitions), r, d), dtype=np.complex128)
+        f[:, :n_det] = det[t]
+        if r > n_det:
+            z = np.stack([rng.normal(size=(r - n_det, d)) + 1j * rng.normal(size=(r - n_det, d))
+                          for rng in rngs])
+            f[:, n_det:] = z / np.linalg.norm(z, axis=2, keepdims=True)
+        factors.append(f.reshape(-1, d))
+    return factors, rngs
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +244,38 @@ def _conj_outer(x: list[np.ndarray], blocks: list[int]) -> np.ndarray:
     return out
 
 
-def _top_eigvecs(gram: np.ndarray) -> np.ndarray:
-    """Unit top eigenvectors of stacked Gram matrices; batched eigh beyond 2x2.
+def _qubit_top(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Unit top eigenvectors of the 2x2 Gram matrices [[a, b], [conj(b), c]].
 
-    For [[a, b], [conj(b), c]], with h = (a - c)/2 and t = |h| + sqrt(h^2 + |b|^2),
-    it is (t, conj(b)) if h >= 0, else (b, t); t = 0 (a multiple of I) gives (1, 0).
+    With h = (a - c)/2 and t = |h| + sqrt(h^2 + |b|^2), it is (t, conj(b)) if
+    h >= 0, else (b, t); t = 0 (a multiple of I) gives (1, 0).
     """
-    if gram.shape[-1] != 2:
-        return np.linalg.eigh(gram)[1][:, :, -1]
-    a, b, c = gram[:, 0, 0].real, gram[:, 0, 1], gram[:, 1, 1].real
     h = (a - c) / 2
     t = np.abs(h) + np.hypot(h, np.abs(b))
-    v = np.empty((gram.shape[0], 2), dtype=np.complex128)
+    v = np.empty((len(a), 2), dtype=np.complex128)
     v[:, 0] = np.where(h >= 0, np.where(t > 0, t, 1.0), b)
     v[:, 1] = np.where(h >= 0, b.conj(), t)
     return v / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=1))[:, None]
+
+
+def _rowwise(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row i of v times the matrix m[i]: an einsum for matrices of at most 8
+    entries, where a stacked matmul costs more per matrix, else a matmul."""
+    return np.einsum("rk,rkw->rw", v, m) if m[0].size <= 8 else (v[:, None, :] @ m)[:, 0]
+
+
+def _pair_step(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A pair step on stacked (R, d0, d1) matrices, d0 <= d1: the unit top
+    eigenvector of each Gram matrix pair pair^H, and its product with the pair
+    (the other factor before normalization). With d0 = 2 the Gram matrix's
+    entries are sums over the two rows, for ``_qubit_top``; else batched eigh.
+    """
+    if pair.shape[1] == 2:
+        a, c = np.einsum("rij,rij->ri", pair, pair.conj()).real.T
+        top = _qubit_top(a, np.einsum("rj,rj->r", pair[:, 0], pair[:, 1].conj()), c)
+    else:
+        top = np.linalg.eigh(pair @ pair.conj().transpose(0, 2, 1))[1][:, :, -1]
+    return top, _rowwise(top.conj(), pair)
 
 
 def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig | None = None) -> OverlapResult:
@@ -305,7 +290,7 @@ def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig |
         best = min(float(s[0]) ** 2, 1.0)
         product = ProductState(partition, (_gauge_fix(u[:, :1].T)[0], _gauge_fix(vh[:1])[0]))
         return OverlapResult(best, 1.0 - best, product, partition, 0, True, 0, upper_bound=best)
-    return _ascent([psi_k], [partition], config or OptimizerConfig())[0]
+    return _ascent(psi_k[None], [partition], config or OptimizerConfig())[0]
 
 
 def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> list[OverlapResult]:
@@ -316,13 +301,16 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
     x restarts x 2^N.
 
     A sweep takes the steps of the module docstring: a pair takes the top
-    eigenvector of its Gram matrix on the smaller side (closed form for a
-    qubit, else batched eigh), then one matvec. Each step is one stacked
-    product of every active restart's outer product of the other factors
-    against its own problem's matrix (a plain product for a lone problem).
-    Each problem keeps its own starts, RNG, bound and stops, so its result
-    equals a batch of one within rounding and is bitwise the same in any
-    order of a batch that runs in one piece.
+    eigenvector of its Gram matrix on the smaller side, then one matvec.
+    With a qubit on that side the Gram matrix's three entries are built
+    elementwise and its eigenvector is in closed form; a larger pair takes a
+    batched eigh. Each step contracts every active restart's outer product of
+    the other factors with its own problem's matrix (a plain product for a
+    lone problem); on matrices of at most 8 entries the contractions are
+    einsums, since a stacked matmul costs more per tiny matrix. The bounds,
+    the start menu and the winners' gauge are set up once per batch. Each problem keeps its own starts, RNG,
+    bound and stops, so its result equals a batch of one within rounding and
+    is bitwise the same in any order of a batch that runs in one piece.
 
     From the second sweep on, a sweep also runs the extrapolated try of the
     module docstring on the same active rows, batched like the plain sweep,
@@ -344,9 +332,10 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
         raise ShapeMismatchError("a batch needs partitions with equal block dimensions")
     if len(tensors) <= 1 or tensors[0].ndim <= 2:
         return [best_overlap(psi, p, config) for psi, p in zip(states, partitions)]
+    stack = np.stack(tensors)
     per_run = max(1, _BATCH_AMPLITUDES // (config.restarts * tensors[0].size))
-    return [res for i in range(0, len(tensors), per_run)
-            for res in _ascent(tensors[i:i + per_run], partitions[i:i + per_run], config)]
+    return [res for i in range(0, len(stack), per_run)
+            for res in _ascent(stack[i:i + per_run], partitions[i:i + per_run], config)]
 
 
 def _sweep(steps, x, prob, prev, rngs=None, reinjections=None) -> np.ndarray:
@@ -363,12 +352,10 @@ def _sweep(steps, x, prob, prev, rngs=None, reinjections=None) -> np.ndarray:
     for keep, rest, mats in steps:
         outer = _conj_outer(x, rest)
         # One problem needs no per-row copy of its matrix: a plain product is faster.
-        env = outer @ mats[0] if len(mats) == 1 else (outer[:, None, :] @ mats[prob])[:, 0]
+        env = outer @ mats[0] if len(mats) == 1 else _rowwise(outer, mats[prob])
         if len(keep) == 2:
             # keep[0] is the smaller block, so the Gram matrix is the smaller one.
-            pair = env.reshape(len(prob), x[keep[0]].shape[1], x[keep[1]].shape[1])
-            top = _top_eigvecs(pair @ pair.conj().transpose(0, 2, 1))
-            env = (top.conj()[:, None, :] @ pair)[:, 0, :]
+            top, env = _pair_step(env.reshape(len(prob), x[keep[0]].shape[1], -1))
             new = [top, env]
         else:
             new = [env]
@@ -403,20 +390,19 @@ def _extrapolate(x_prev: np.ndarray, x: np.ndarray, beta: float) -> np.ndarray:
     return e / np.linalg.norm(e, axis=1, keepdims=True)
 
 
-def _ascent(tensors, partitions, config: OptimizerConfig) -> list[OverlapResult]:
-    """The K >= 3 ascent of ``best_overlaps`` on blocked tensors of equal shape."""
-    dims = list(tensors[0].shape)
-    n_prob, r = len(tensors), config.restarts
-    bounds = np.array([_coarsening_bound(t) for t in tensors])
+def _ascent(stack, partitions, config: OptimizerConfig) -> list[OverlapResult]:
+    """The K >= 3 ascent of ``best_overlaps`` on a stack of blocked tensors (axis 0)."""
+    dims = list(stack.shape[1:])
+    n_prob, r = len(stack), config.restarts
+    bounds = _coarsening_bounds(stack)
     stop_at = bounds - config.tol  # +inf once a problem is certified
     steps = []
     for keep in _sweep_steps(dims):
         rest = [t for t in range(len(dims)) if t not in keep]
         width = math.prod(dims[t] for t in keep)
-        mats = np.stack([t.transpose(rest + list(keep)).reshape(-1, width) for t in tensors])
+        mats = stack.transpose([0] + [t + 1 for t in rest + list(keep)]).reshape(n_prob, -1, width)
         steps.append((keep, rest, mats))
-    starts, rngs = zip(*(_initial_factors(dims, config, p) for p in partitions))
-    factors = [np.concatenate(block) for block in zip(*starts)]
+    factors, rngs = _initial_factors(dims, config, partitions)
     lam2 = np.zeros(n_prob * r)
     prev_sweep = np.full(n_prob * r, -1.0)
     overlap = np.zeros(n_prob * r)
@@ -462,9 +448,10 @@ def _ascent(tensors, partitions, config: OptimizerConfig) -> list[OverlapResult]
             stop_at[certified] = np.inf
 
     winners = np.arange(n_prob) * r + lam2.reshape(n_prob, r).argmax(axis=1)
+    gauged = [_gauge_fix(f[winners]) for f in factors]
     results = []
     for p, (partition, winner) in enumerate(zip(partitions, winners)):
-        product = ProductState(partition, tuple(_gauge_fix(f[winner:winner + 1])[0] for f in factors))
+        product = ProductState(partition, tuple(g[p] for g in gauged))
         best = min(float(lam2[winner]), 1.0)
         results.append(OverlapResult(
             lambda2=best,

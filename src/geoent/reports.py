@@ -324,13 +324,15 @@ def compute_curve(figure: str, config: OptimizerConfig | None = None, *,
         if figure in ("4", "5"):
             fixed = {"gamma3": 0.5}
             blocks = [{1}] if figure == "4" else [{1}, {2}, {3}]
-            e = [min(closedform.asym_w_bisep((a, b, 0.5), block).e_g for block in blocks)
-                 for a, b in zip(g1, g2)]
         else:
             fixed = {"gamma3": 2.0 / 3.0, "gamma4": 1.0 / 6.0}
-            block = {1} if figure == "6" else {1, 2}
-            e = [closedform.asym_w_bisep((a, b, 2.0 / 3.0, 1.0 / 6.0), block).e_g
-                 for a, b in zip(g1, g2)]
+            blocks = [{1}] if figure == "6" else [{1, 2}]
+        # closedform.asym_w_bisep's exact value, min over blocks, in one
+        # integer pass per point, with no Fraction built.
+        e = []
+        for a, b in zip(g1.tolist(), g2.tolist()):
+            top, total = closedform._bisep_ratio((a, b, *fixed.values()), blocks)
+            e.append(1.0 - top / total)
         return CurveData(figure, fixed, ("gamma1", "gamma2", "e2"), np.column_stack([g1, g2, e]))
 
     raise DomainError(f"unknown figure {figure!r}; choose 1-7")

@@ -5,7 +5,9 @@ import pytest
 import scipy.optimize
 
 import geoent as ge
+from geoent.closedform import _bisep_ratio
 from geoent.errors import DomainError
+from geoent.reports import compute_curve
 
 # A K = 3 case where a multistart coordinate ascent falls 3.7e-10 short in lambda^2.
 ASCENT_SHORTFALL_GAMMA = (0.60851655, 0.77556503, 0.98562202)
@@ -218,6 +220,41 @@ class TestAsymWBisep:
                 value = ge.asym_w_bisep(gamma, block)
                 assert value == self._reference(gamma, block)
                 assert value != self._reference(gamma, block, shift=-Fraction(1e-9))
+
+    def test_integer_core_equals_fraction_arithmetic(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            blocks = [{int(q) for q in rng.choice(np.arange(1, n + 1), int(rng.integers(1, n)),
+                                                  replace=False)} for _ in range(3)]
+            floats = 10.0 ** rng.uniform(-30, 30, n)
+            fractions = [Fraction(int(a), int(b))
+                         for a, b in zip(rng.integers(1, 60, n), rng.integers(1, 60, n))]
+            ints = [int(x) for x in rng.integers(1, 9, n)]
+            for gamma in (tuple(floats), tuple(fractions), tuple(ints)):
+                g = [Fraction(x) for x in gamma]
+                total = sum(x * x for x in g)
+                each = [max(in_a, total - in_a) / total
+                        for in_a in (sum(g[q - 1] ** 2 for q in block) for block in blocks)]
+                for got, want in ((_bisep_ratio(gamma, blocks[:1]), each[0]),
+                                  (_bisep_ratio(gamma, blocks), max(each))):
+                    assert Fraction(*got) == want
+                    assert got[0] / got[1] == float(want)
+                    assert got[0] / got[1] != float(want + Fraction(1e-9))
+
+    @pytest.mark.parametrize("figure, weights, blocks", [
+        ("4", (0.5,), [{1}]),
+        ("5", (0.5,), [{1}, {2}, {3}]),
+        ("6", (2 / 3, 1 / 6), [{1}]),
+        ("7", (2 / 3, 1 / 6), [{1, 2}]),
+    ])
+    def test_figure_surfaces_equal_asym_w_bisep(self, figure, weights, blocks):
+        rows = compute_curve(figure, gamma_points=21).rows
+        grid = np.linspace(0.0, 1.0, 21)
+        assert np.array_equal(rows[:, :2], [(a, b) for a in grid for b in grid])
+        want = [min(ge.asym_w_bisep((a, b, *weights), block).e_g for block in blocks)
+                for a, b in rows[:, :2]]
+        assert np.array_equal(rows[:, 2], want)
 
 
 class TestAsymWKsepReduced:

@@ -169,6 +169,22 @@ class TestFullHierarchy:
         assert report.monotonic
         assert report.entry(2).absolute_e == pytest.approx(0.25, abs=1e-9)
 
+    @pytest.mark.parametrize("psi", [ge.w(4), ge.cluster4()], ids=["w4", "cluster4"])
+    def test_is_symmetric_called_once(self, psi, monkeypatch, fast_config):
+        from geoent import hierarchy as hmod
+
+        calls = []
+        real = hmod.is_symmetric
+
+        def counted(state, *args, **kwargs):
+            calls.append(state)
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(hmod, "is_symmetric", counted)
+        report = hmod.full_hierarchy(psi, fast_config)
+        assert calls == [psi]
+        assert report.symmetric == real(psi)
+
     def test_report_serialization(self, fast_config):
         report = ge.full_hierarchy(ge.w(4), fast_config)
         doc = report.to_dict()
