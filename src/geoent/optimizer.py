@@ -21,12 +21,16 @@ within ``tol`` the maximum is certified and all its restarts stop.
 
 On a degenerate maximum, such as the orbits of the magnon and W+GHZ states,
 the ascent (a higher-order power method) converges sublinearly: losing
-restarts crawl for thousands of sweeps onto the winner's value. So from
-sweep t = 2 on, each sweep that takes the factors x_prev to x also makes an
-extrapolated try (cf. Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl.
-30, 2008): with each block's x_prev rotated by the phase of <x_prev, x>, one
-more sweep runs from the normalized x + beta_t (x - x_prev), beta_t = t/3,
-and its result replaces x only where its overlap is strictly higher. Every
+restarts crawl for thousands of sweeps onto the winner's value. So a sweep t
+that starts a restart at x, kept after it left x_prev, may also run an
+extrapolated twin of it (cf. Rajih, Comon & Harshman, SIAM J. Matrix Anal.
+Appl. 30, 2008): with each block's x_prev rotated by the phase of
+<x_prev, x>, the twin starts from the normalized x + beta (x - x_prev),
+beta = min((t - 1)/3, 3/2), and its result replaces the restart's only
+where its overlap is strictly higher. A restart takes a twin on its two
+sweeps after the first, and then only while it crawls: while its last gain
+in Lambda^2 exceeds ``_TWIN_RATIO`` times the one before, so not where it
+converges linearly. Twins run in the same sweep pass as the restarts. Every
 kept point is the output of an exact sweep, so monotonicity and every stop
 keep their meaning.
 
@@ -51,6 +55,9 @@ _GAUGE_EPS = 1e-14
 _BATCH_AMPLITUDES = 1 << 18  # problems x restarts x 2^N per ascent run (4 MB per matrix copy)
 _INTERVAL_GAP = 1e-10  # qubit_block_interval stops refining at this hi - lo
 _INTERVAL_CELLS = 1 << 14  # and makes at most this many cells
+_TWIN_SWEEPS = 2  # every restart takes an extrapolated twin on this many sweeps after its first
+_TWIN_RATIO = 0.3  # and then only while its last gain exceeds this times the one before
+_TWIN_BETA_MAX = 1.5  # the largest extrapolation step beta of a twin
 
 
 @dataclass(frozen=True)
@@ -178,9 +185,11 @@ def _gauge_fix(factors: np.ndarray) -> np.ndarray:
 
 
 def _deterministic_starts(dims: list[int], count: int) -> list[np.ndarray]:
-    """Fixed start menu, one (count, d_t) array per block: on every block and
-    then on one block at a time, uniform rows and excitation patterns (unit
-    uniform superpositions of the basis states with a given number of ones).
+    """Fixed start menu, one (rows, d_t) array per block with rows <= count: on
+    every block and then on one block at a time, uniform rows and excitation
+    patterns (unit uniform superpositions of the basis states with a given
+    number of ones). A qubit block clamps two ones to one, so a menu row that
+    repeats an earlier one is skipped for the next distinct row.
 
     The per-block patterns make the known optima of the uniform-excitation
     families exact fixed points of the ascent, so those values are
@@ -190,15 +199,17 @@ def _deterministic_starts(dims: list[int], count: int) -> list[np.ndarray]:
     menu = [[0] * k, [None] * k, [1] * k, [max(dims)] * k]  # None: uniform; max(dims): all ones
     for ones in (1, 2, None):
         menu += [[ones if t == s else 0 for t in range(k)] for s in range(k)]
+    top = [d.bit_length() - 1 for d in dims]
+    picks = list(dict.fromkeys(
+        tuple(m + 1 if ones is None else min(ones, m) for ones, m in zip(row, top)) for row in menu
+    ))[:count]
     starts = []
-    for t, d in enumerate(dims):
-        m = d.bit_length() - 1
+    for t, (d, m) in enumerate(zip(dims, top)):
         weight = np.array([bin(i).count("1") for i in range(d)])
         patterns = np.array([weight == j for j in range(m + 1)] + [weight >= 0],
                             dtype=np.complex128)
         patterns /= np.sqrt(patterns.real.sum(axis=1, keepdims=True))
-        pick = [m + 1 if row[t] is None else min(row[t], m) for row in menu[:count]]
-        starts.append(patterns[pick])
+        starts.append(patterns[[row[t] for row in picks]])
     return starts
 
 
@@ -207,8 +218,8 @@ def _initial_factors(dims, config, partitions) -> tuple[list[np.ndarray], list]:
     the start menu, then unit rows drawn block by block from the problem's
     own generator (returned too), seeded by the config seed and its blocks."""
     r = config.restarts
-    n_det = min(4 + 3 * len(dims), max(1, r // 2))
-    det = _deterministic_starts(dims, n_det)
+    det = _deterministic_starts(dims, min(4 + 3 * len(dims), max(1, r // 2)))
+    n_det = len(det[0])
     rngs = [np.random.default_rng(np.random.SeedSequence(
         [config.seed] + [sum(1 << (q - 1) for q in block) for block in p.blocks]))
         for p in partitions]
@@ -312,11 +323,12 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
     bound and stops, so its result equals a batch of one within rounding and
     is bitwise the same in any order of a batch that runs in one piece.
 
-    From the second sweep on, a sweep also runs the extrapolated try of the
-    module docstring on the same active rows, batched like the plain sweep,
-    and keeps its result for a restart only where it ends strictly higher.
-    The try never reinjects: random draws and ``reinjections`` come only from
-    the plain sweep.
+    Each sweep is one pass over the active restarts and the extrapolated
+    twins of the module docstring, stacked below them against the same
+    problems' matrices; a twin's result is kept for its restart only where
+    it ends strictly higher. Twins never reinject: random draws and
+    ``reinjections`` come only from the restarts. The start menu skips
+    repeated rows, and random rows fill the restarts it leaves.
 
     A restart stops when its squared overlap improves by less than
     ``config.tol`` over a sweep; all of a problem's restarts stop once its
@@ -338,15 +350,16 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
             for res in _ascent(stack[i:i + per_run], partitions[i:i + per_run], config)]
 
 
-def _sweep(steps, x, prob, prev, rngs=None, reinjections=None) -> np.ndarray:
+def _sweep(steps, x, prob, prev, plain, rngs, reinjections) -> np.ndarray:
     """One sweep of the ascent on the rows ``x`` (one (R, d_t) array per
     block, replaced in place), row i against problem ``prob[i]``'s matrices.
 
-    ``prev`` is each row's overlap before the sweep, or None when it is not
-    known, in which case the monotonicity check starts after the first step.
-    A step whose matrix vanishes redraws the new factors of the row from its
-    problem's generator in ``rngs`` and counts it in ``reinjections``; without
-    ``rngs`` the row is lost. Returns each row's overlap, -1 for a lost row.
+    The first ``plain`` rows are restarts, the others their extrapolated
+    twins. ``prev`` is each row's overlap before the sweep; where it is 0
+    (a twin) the monotonicity check starts after the first step. A step
+    whose matrix vanishes redraws a restart's new factors from its problem's
+    generator in ``rngs`` and counts it in ``reinjections``; a twin is lost.
+    Returns each row's overlap, -1 for a lost twin.
     """
     lost = np.zeros(len(prob), dtype=bool)
     for keep, rest, mats in steps:
@@ -362,18 +375,16 @@ def _sweep(steps, x, prob, prev, rngs=None, reinjections=None) -> np.ndarray:
         norms = np.linalg.norm(env, axis=1)
         dead = norms < _ZERO_NORM
         new[-1] = env / np.maximum(norms, _ZERO_NORM)[:, None]
-        if rngs is None:
-            lost |= dead
-        else:
-            for row in np.flatnonzero(dead):
-                rng = rngs[prob[row]]
-                for f in new:
-                    z = rng.normal(size=f.shape[1]) + 1j * rng.normal(size=f.shape[1])
-                    f[row] = z / np.linalg.norm(z)
-                reinjections[prob[row]] += 1
+        lost[plain:] |= dead[plain:]
+        for row in np.flatnonzero(dead[:plain]):
+            rng = rngs[prob[row]]
+            for f in new:
+                z = rng.normal(size=f.shape[1]) + 1j * rng.normal(size=f.shape[1])
+                f[row] = z / np.linalg.norm(z)
+            reinjections[prob[row]] += 1
         norms[dead] = 0.0
         alive = ~(dead | lost)
-        if prev is not None and (norms[alive] < prev[alive] - 1e-9).any():
+        if (norms[alive] < prev[alive] - 1e-9).any():
             raise NumericalFaultError("ascent monotonicity violated; numerical fault")
         for t, f in zip(keep, new):
             x[t] = f
@@ -403,8 +414,9 @@ def _ascent(stack, partitions, config: OptimizerConfig) -> list[OverlapResult]:
         mats = stack.transpose([0] + [t + 1 for t in rest + list(keep)]).reshape(n_prob, -1, width)
         steps.append((keep, rest, mats))
     factors, rngs = _initial_factors(dims, config, partitions)
-    lam2 = np.zeros(n_prob * r)
-    prev_sweep = np.full(n_prob * r, -1.0)
+    x_prev = [np.empty_like(f) for f in factors]  # each row's kept point before its last sweep
+    gains = np.zeros((2, n_prob * r))  # lam2 gains of each row's last two sweeps, latest first
+    lam2 = np.full(n_prob * r, -1.0)
     overlap = np.zeros(n_prob * r)
     iterations = np.full(n_prob * r, config.max_iterations, dtype=int)
     converged = np.zeros(n_prob * r, dtype=bool)
@@ -415,30 +427,38 @@ def _ascent(stack, partitions, config: OptimizerConfig) -> list[OverlapResult]:
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        prob = idx // r
-        x_prev = [f[idx] for f in factors]
-        x = list(x_prev)  # the sweep replaces every entry, so x_prev keeps the old rows
-        value = _sweep(steps, x, prob, overlap[idx], rngs, reinjections)
-        if sweep >= 2:
-            # The extrapolated try: one more sweep from beyond x along the
-            # sweep's step, kept only where it ends strictly higher.
-            x_try = [_extrapolate(a, b, sweep / 3) for a, b in zip(x_prev, x)]
-            tried = _sweep(steps, x_try, prob, None)
-            won = tried > value
-            if won.any():
-                for a, b in zip(x, x_try):
-                    a[won] = b[won]
-                value = np.where(won, tried, value)
+        n, prob = idx.size, idx // r
+        x = [f[idx] for f in factors]
+        # The restarts that still crawl get a twin beyond x along their last sweep.
+        if sweep == 1:
+            twin = np.zeros(0, dtype=int)
+        elif sweep <= 1 + _TWIN_SWEEPS:
+            twin = np.arange(n)
+        else:
+            twin = np.flatnonzero(gains[0, idx] > _TWIN_RATIO * gains[1, idx])
+        if twin.size:
+            beta = min((sweep - 1) / 3, _TWIN_BETA_MAX)
+            x = [np.concatenate([a, _extrapolate(p[idx[twin]], a[twin], beta)])
+                 for a, p in zip(x, x_prev)]
+        for p, a in zip(x_prev, x):
+            p[idx] = a[:n]
+        value = _sweep(steps, x, np.concatenate([prob, prob[twin]]),
+                       np.concatenate([overlap[idx], np.zeros(twin.size)]), n, rngs, reinjections)
+        won = value[n:] > value[twin]
+        for a in x:
+            a[twin[won]] = a[n:][won]
+        value[twin[won]] = value[n:][won]
+        value = value[:n]
         for f, a in zip(factors, x):
-            f[idx] = a
+            f[idx] = a[:n]
         overlap[idx] = value
+        gains[1, idx] = gains[0, idx]
+        gains[0, idx] = value ** 2 - lam2[idx]
         lam2[idx] = value ** 2
-        done = np.abs(lam2[idx] - prev_sweep[idx]) < config.tol
-        newly = idx[done]
+        newly = idx[np.abs(gains[0, idx]) < config.tol]
         iterations[newly] = sweep
         converged[newly] = True
         active[newly] = False
-        prev_sweep[idx] = lam2[idx]
         certified = lam2.reshape(n_prob, r).max(axis=1) >= stop_at
         if certified.any():
             best = np.flatnonzero(certified) * r + lam2.reshape(n_prob, r)[certified].argmax(axis=1)

@@ -278,6 +278,19 @@ class TestBatch:
                 z = rng.normal(size=(size, d)) + 1j * rng.normal(size=(size, d))
                 assert np.array_equal(f[rows][n_det:], z / np.linalg.norm(z, axis=1)[:, None])
 
+    @pytest.mark.parametrize("blocks", [
+        ((1,), (2,), (3,), (4,), (5,), (6,), (7,)), ((1,), (2,), (3,)),
+        ((1,), (2,), (3,), (4,), (5, 6)), ((1,), (2, 3), (4, 5)), ((1,), (2, 3, 4), (5, 6, 7)),
+    ], ids=["2^7", "2^3", "2^4x4", "2x4x4", "2x8x8"])
+    def test_starts_are_distinct(self, blocks):
+        # A qubit block clamps two ones to one, so the menu repeated rows:
+        # 8 of the 64 starts on seven qubit blocks ran the same trajectories.
+        partition = ge.Partition(blocks)
+        dims = [2 ** len(b) for b in partition.blocks]
+        factors, _ = _initial_factors(dims, ge.OptimizerConfig(), [partition])
+        rows = np.concatenate(factors, axis=1)
+        assert len(np.unique(rows, axis=0)) == len(rows) == 64
+
     def test_unequal_dimensions_rejected(self, fast_config):
         psi = ge.random_state(5, 3)
         with pytest.raises(ShapeMismatchError):
@@ -364,34 +377,37 @@ class TestKnownMisses:
 
 @pytest.fixture
 def sweep_passes(monkeypatch):
-    """A counter of the ascent's sweep passes, plain and extrapolated: each
-    pass is one ``_sweep`` call."""
+    """The ascent's sweep passes, one ``_sweep`` call each, recorded as (rows
+    swept, restarts among them); the other rows are extrapolated twins."""
     from geoent import optimizer
 
-    count = [0]
+    passes = []
     real = optimizer._sweep
 
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return real(*args, **kwargs)
+    def counted(steps, x, prob, prev, plain, *args):
+        passes.append((len(prob), plain))
+        return real(steps, x, prob, prev, plain, *args)
 
     monkeypatch.setattr(optimizer, "_sweep", counted)
-    return count
+    return passes
+
+
+CRAWLS = pytest.mark.parametrize("n, excitations, blocks, value", [
+    (7, 2, ((1,), (2, 3, 4), (5, 6, 7)), 3 / 7),
+    (6, 3, ((1, 2), (3, 4), (5, 6)), 2 / 5),
+], ids=["magnon7_2-1|3|3", "magnon6_3-2|2|2"])
 
 
 class TestExtrapolatedTry:
     # Degenerate maxima: without the try, the losing restarts crawl for
     # 4057-4154 passes after the winner converged at sweep 2.
-    @pytest.mark.parametrize("n, excitations, blocks, value", [
-        (7, 2, ((1,), (2, 3, 4), (5, 6, 7)), 3 / 7),
-        (6, 3, ((1, 2), (3, 4), (5, 6)), 2 / 5),
-    ], ids=["magnon7_2-1|3|3", "magnon6_3-2|2|2"])
+    @CRAWLS
     @pytest.mark.parametrize("seed", range(3))
     def test_crawls_end(self, n, excitations, blocks, value, seed, sweep_passes):
         result = ge.best_overlap(ge.magnon(n, excitations), ge.Partition(blocks),
                                  ge.OptimizerConfig(seed=seed))
         assert result.lambda2 == pytest.approx(value, abs=1e-12)
-        assert 0 < sweep_passes[0] <= 1000
+        assert 0 < len(sweep_passes) <= 1000
 
     def test_wghz_phi_pi_next_to_w(self, sweep_passes):
         # Figure 1's W+GHZ curve at phi = pi, eta index 1 of 101: without the
@@ -400,21 +416,56 @@ class TestExtrapolatedTry:
         psi = ge.superpose(np.cos(eta), ge.w(3), np.sin(eta), np.pi, ge.ghz(3))
         result = ge.best_overlap(psi, ge.Partition(((1,), (2,), (3,))),
                                  ge.OptimizerConfig(seed=1))
-        assert 0 < sweep_passes[0] <= 150
+        assert 0 < len(sweep_passes) <= 150
         assert result.e_g <= 0.5498926743800188
 
     @pytest.mark.parametrize("seed", range(3))
     def test_monotone_in_sweeps_on_degenerate_maximum(self, seed, sweep_passes):
-        # At 4 restarts magnon(6,3)'s winner on 2|2|2 is a crawling restart,
-        # and every sweep from the second on runs the try: m sweeps, 2m - 1 passes.
+        # At 4 restarts magnon(6,3)'s winner on 2|2|2 is a crawling restart;
+        # each sweep is one pass, its twins swept with the restarts.
         psi, partition = ge.magnon(6, 3), ge.Partition(((1, 2), (3, 4), (5, 6)))
         values = []
         for m in range(1, 13):
-            sweep_passes[0] = 0
+            sweep_passes.clear()
             config = ge.OptimizerConfig(restarts=4, seed=seed, max_iterations=m)
             values.append(ge.best_overlap(psi, partition, config).lambda2)
-            assert sweep_passes[0] == 2 * m - 1
+            assert len(sweep_passes) == m
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+class TestTwinGate:
+    # With an extrapolated try on every sweep in a second pass, magnon(7,2)
+    # 1|3|3 took 585-589 passes and magnon(6,3) 2|2|2 573-581; with twins
+    # whose step beta grows as (t - 1)/3 without a cap, up to 89.
+    @CRAWLS
+    @pytest.mark.parametrize("seed", range(3))
+    def test_crawls_end_in_50_passes(self, n, excitations, blocks, value, seed, sweep_passes):
+        result = ge.best_overlap(ge.magnon(n, excitations), ge.Partition(blocks),
+                                 ge.OptimizerConfig(seed=seed))
+        assert result.lambda2 == pytest.approx(value, abs=1e-12)
+        assert 0 < len(sweep_passes) <= 50
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closes_where_restarts_converge_fast(self, seed, sweep_passes):
+        # W+GHZ(7) K = 6 converges linearly: every restart takes a twin on
+        # sweeps 2 and 3, a few on the next ones, and then none.
+        psi = ge.superpose(np.cos(np.pi / 6), ge.w(7), np.sin(np.pi / 6), 0.0, ge.ghz(7))
+        blocks = ((1,), (2,), (3,), (4,), (5,), (6, 7))
+        ge.best_overlap(psi, ge.Partition(blocks), ge.OptimizerConfig(seed=seed))
+        twins = [rows - plain for rows, plain in sweep_passes]
+        assert twins[0] == 0 and twins[1] == 64 and twins[2] == sweep_passes[2][1]
+        assert sum(twins[3:]) <= 8
+        assert len(twins) > 8 and not any(twins[6:])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wghz_phi_pi_inside_interval(self, seed):
+        eta = np.linspace(0.0, np.pi / 2, 101)[1]
+        psi = ge.superpose(np.cos(eta), ge.w(3), np.sin(eta), np.pi, ge.ghz(3))
+        partition = ge.Partition(((1,), (2,), (3,)))
+        result = ge.best_overlap(psi, partition, ge.OptimizerConfig(seed=seed))
+        lo, hi = ge.qubit_block_interval(psi, partition)
+        assert lo - 1e-9 <= result.lambda2 <= hi
+        assert result.e_g <= 0.5498926743800188
 
 
 class TestBestOverlap:
