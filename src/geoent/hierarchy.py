@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -45,17 +46,22 @@ def is_symmetric(psi: PureState, tol: float = SYMMETRY_TOL) -> bool:
     return True
 
 
-def _relative_values(psi, partitions, config, workers):
-    """E per partition: one ``best_overlaps`` batch per shape, mapped by the pool."""
+@contextmanager
+def _process_map(workers: int):
+    """``map`` over a pool of ``workers`` processes, shut down on exit, or the
+    builtin ``map`` for one worker. A public call opens one and passes it down."""
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        yield pool.map if pool else map
+
+
+def _relative_values(psi, partitions, config, pmap):
+    """E per partition: one ``best_overlaps`` batch per shape, mapped by ``pmap``."""
     batches = {}
     for p in partitions:
         batches.setdefault(p.shape, []).append(p)
     states = [[psi] * len(b) for b in batches.values()]
-    if workers <= 1 or len(batches) <= 1:
-        results = map(best_overlaps, states, batches.values(), repeat(config))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(best_overlaps, states, batches.values(), repeat(config)))
+    results = (pmap if len(batches) > 1 else map)(best_overlaps, states, batches.values(),
+                                                 repeat(config))
     e_g = {p: r.e_g for batch, rs in zip(batches.values(), results) for p, r in zip(batch, rs)}
     return [e_g[p] for p in partitions]
 
@@ -120,7 +126,7 @@ def _resolve_scan(n: int, scan: str, symmetric: bool) -> str:
     raise DomainError(f"unknown scan mode {scan!r}")
 
 
-def _scan_k(psi, k, config, scan_mode, workers) -> KEntry:
+def _scan_k(psi, k, config, scan_mode, pmap) -> KEntry:
     n = psi.num_qubits
     if scan_mode == "shapes":
         partitions = [representative_partition(s) for s in shapes(n, k)]
@@ -128,7 +134,7 @@ def _scan_k(psi, k, config, scan_mode, workers) -> KEntry:
     else:
         partitions = sorted(set_partitions(n, k), key=lambda p: p.sort_key())
         keys = [p.text for p in partitions]
-    values = _relative_values(psi, partitions, config, workers)
+    values = _relative_values(psi, partitions, config, pmap)
     minimum = min(values)
     argmin = tuple(
         p for p, v in zip(partitions, values) if v <= minimum + DEGENERACY_TOL
@@ -144,11 +150,15 @@ def egk_absolute(psi: PureState, k: int, config: OptimizerConfig | None = None,
     Returns (value, realizing_partitions); every partition within 1e-9 of the
     minimum is reported, in canonical order.
     """
+    with _process_map(workers) as pmap:
+        return _egk_absolute(psi, k, config or OptimizerConfig(), scan, pmap)
+
+
+def _egk_absolute(psi, k, config, scan, pmap):
     if not 2 <= k <= psi.num_qubits:
         raise DomainError(f"need 2 <= K <= N, got K={k}, N={psi.num_qubits}")
-    config = config or OptimizerConfig()
     scan_mode = _resolve_scan(psi.num_qubits, scan, scan == "auto" and is_symmetric(psi))
-    entry = _scan_k(psi, k, config, scan_mode, workers)
+    entry = _scan_k(psi, k, config, scan_mode, pmap)
     return entry.absolute_e, list(entry.argmin_partitions)
 
 
@@ -160,11 +170,15 @@ def full_hierarchy(psi: PureState, config: OptimizerConfig | None = None,
     (K-1)-scan under-optimized, so that scan is re-run once with 4x restarts
     before the violation is reported.
     """
-    config = config or OptimizerConfig()
+    with _process_map(workers) as pmap:
+        return _full_hierarchy(psi, config or OptimizerConfig(), scan, pmap)
+
+
+def _full_hierarchy(psi, config, scan, pmap) -> HierarchyReport:
     n = psi.num_qubits
     symmetric = is_symmetric(psi)
     scan_mode = _resolve_scan(n, scan, symmetric)
-    entries = {k: _scan_k(psi, k, config, scan_mode, workers) for k in range(2, n + 1)}
+    entries = {k: _scan_k(psi, k, config, scan_mode, pmap) for k in range(2, n + 1)}
 
     # Descending sweep: re-running K-1 can only lower E^(K-1), which only
     # affects the pair below it, examined later in this order.
@@ -172,7 +186,7 @@ def full_hierarchy(psi: PureState, config: OptimizerConfig | None = None,
         if entries[k - 1].absolute_e > entries[k].absolute_e + MONOTONICITY_TOL:
             boosted = replace(config, restarts=config.restarts * 4)
             entries[k - 1] = replace(
-                _scan_k(psi, k - 1, boosted, scan_mode, workers), reran=True
+                _scan_k(psi, k - 1, boosted, scan_mode, pmap), reran=True
             )
     violations = [
         (k, entries[k - 1].absolute_e, entries[k].absolute_e)

@@ -34,6 +34,13 @@ converges linearly. Twins run in the same sweep pass as the restarts. Every
 kept point is the output of an exact sweep, so monotonicity and every stop
 keep their meaning.
 
+The ascent packs each restart's factors into one row of a complex
+(rows, sum d_t) array, blocks ordered by dimension, block t a column slice.
+A sweep pass gathers its active rows once, its steps write into them in
+place, and it scatters them back once; a twin is extrapolated once per group
+of equal-dimension blocks, as an (R, k, d) view. Each row's overlap,
+Lambda^2 and last two gains move with it in one (4, rows) array.
+
 ``qubit_block_interval`` brackets Lambda^2 of a K = 3 partition with a
 one-qubit block by branch and bound on that qubit's Bloch sphere. It shares
 only ``_blocked_tensor`` with the ascent, so it is an independent reference.
@@ -262,11 +269,13 @@ def _qubit_top(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     h >= 0, else (b, t); t = 0 (a multiple of I) gives (1, 0).
     """
     h = (a - c) / 2
+    up = h >= 0
     t = np.abs(h) + np.hypot(h, np.abs(b))
-    v = np.empty((len(a), 2), dtype=np.complex128)
-    v[:, 0] = np.where(h >= 0, np.where(t > 0, t, 1.0), b)
-    v[:, 1] = np.where(h >= 0, b.conj(), t)
-    return v / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=1))[:, None]
+    t = np.where(t > 0, t, 1.0)  # t = 0 only where h >= 0
+    # t times 1/norm and b over norm round as the complex vector over its norm does.
+    norm = np.sqrt(t ** 2 + (b.real ** 2 + b.imag ** 2))
+    tn, bn = t * (1.0 / norm), np.where(up, b.conj(), b) / norm
+    return np.stack([np.where(up, tn, bn), np.where(up, bn, tn)], axis=1)
 
 
 def _rowwise(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -326,9 +335,11 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
     Each sweep is one pass over the active restarts and the extrapolated
     twins of the module docstring, stacked below them against the same
     problems' matrices; a twin's result is kept for its restart only where
-    it ends strictly higher. Twins never reinject: random draws and
-    ``reinjections`` come only from the restarts. The start menu skips
-    repeated rows, and random rows fill the restarts it leaves.
+    it ends strictly higher. Each restart's factors are one row of a packed
+    array, gathered and scattered once per pass, and a twin is extrapolated
+    once per group of equal-dimension blocks. Twins never reinject: random
+    draws and ``reinjections`` come only from the restarts. The start menu
+    skips repeated rows, and random rows fill the restarts it leaves.
 
     A restart stops when its squared overlap improves by less than
     ``config.tol`` over a sweep; all of a problem's restarts stop once its
@@ -351,8 +362,9 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
 
 
 def _sweep(steps, x, prob, prev, plain, rngs, reinjections) -> np.ndarray:
-    """One sweep of the ascent on the rows ``x`` (one (R, d_t) array per
-    block, replaced in place), row i against problem ``prob[i]``'s matrices.
+    """One sweep of the ascent on the rows ``x`` (one (R, d_t) column view of
+    the packed factors per block, written in place), row i against problem
+    ``prob[i]``'s matrices.
 
     The first ``plain`` rows are restarts, the others their extrapolated
     twins. ``prev`` is each row's overlap before the sweep; where it is 0
@@ -375,30 +387,38 @@ def _sweep(steps, x, prob, prev, plain, rngs, reinjections) -> np.ndarray:
         norms = np.linalg.norm(env, axis=1)
         dead = norms < _ZERO_NORM
         new[-1] = env / np.maximum(norms, _ZERO_NORM)[:, None]
-        lost[plain:] |= dead[plain:]
-        for row in np.flatnonzero(dead[:plain]):
-            rng = rngs[prob[row]]
-            for f in new:
-                z = rng.normal(size=f.shape[1]) + 1j * rng.normal(size=f.shape[1])
-                f[row] = z / np.linalg.norm(z)
-            reinjections[prob[row]] += 1
-        norms[dead] = 0.0
-        alive = ~(dead | lost)
-        if (norms[alive] < prev[alive] - 1e-9).any():
+        if dead.any():
+            lost[plain:] |= dead[plain:]
+            for row in np.flatnonzero(dead[:plain]):
+                rng = rngs[prob[row]]
+                for f in new:
+                    z = rng.normal(size=f.shape[1]) + 1j * rng.normal(size=f.shape[1])
+                    f[row] = z / np.linalg.norm(z)
+                reinjections[prob[row]] += 1
+            norms[dead] = 0.0
+        if ((norms < prev - 1e-9) & ~(dead | lost)).any():
             raise NumericalFaultError("ascent monotonicity violated; numerical fault")
         for t, f in zip(keep, new):
-            x[t] = f
+            x[t][...] = f
         prev = norms
     return np.where(lost, -1.0, prev)
 
 
-def _extrapolate(x_prev: np.ndarray, x: np.ndarray, beta: float) -> np.ndarray:
-    """Unit rows along x + beta (x - x_prev), with x_prev first rotated by the
-    phase of <x_prev, x> so that the difference carries no global phase."""
-    c = np.einsum("rd,rd->r", x_prev.conj(), x)
-    phase = np.where(np.abs(c) > 0, c / np.maximum(np.abs(c), _ZERO_NORM), 1.0)
-    e = x + beta * (x - x_prev * phase[:, None])
-    return e / np.linalg.norm(e, axis=1, keepdims=True)
+def _extrapolate(x_prev: np.ndarray, x: np.ndarray, beta: float, groups) -> np.ndarray:
+    """Packed rows whose every block is the unit vector along x + beta (x - x_prev),
+    with x_prev first rotated by the phase of <x_prev, x> so that the
+    difference carries no global phase. Each (column, count, dimension) of
+    ``groups`` is a run of equal-dimension blocks, taken as one (R, k, d) view."""
+    out = np.empty_like(x)
+    for lo, k, d in groups:
+        cols = slice(lo, lo + k * d)
+        a, p = x[:, cols].reshape(-1, k, d), x_prev[:, cols].reshape(-1, k, d)
+        c = np.einsum("rkd,rkd->rk", p.conj(), a)
+        size = np.abs(c)
+        phase = np.where(size > 0, c / np.maximum(size, _ZERO_NORM), 1.0)
+        e = a + beta * (a - p * phase[:, :, None])
+        out[:, cols] = (e / np.linalg.norm(e, axis=2, keepdims=True)).reshape(-1, k * d)
+    return out
 
 
 def _ascent(stack, partitions, config: OptimizerConfig) -> list[OverlapResult]:
@@ -413,11 +433,19 @@ def _ascent(stack, partitions, config: OptimizerConfig) -> list[OverlapResult]:
         width = math.prod(dims[t] for t in keep)
         mats = stack.transpose([0] + [t + 1 for t in rest + list(keep)]).reshape(n_prob, -1, width)
         steps.append((keep, rest, mats))
+    # One row per restart holds all its factors, blocks ordered by dimension:
+    # block t is the column slice cols[t], and equal dimensions form groups.
+    order = sorted(range(len(dims)), key=lambda t: dims[t])
+    edges = np.cumsum([0] + sorted(dims)).tolist()
+    cols = [slice(edges[i], edges[i + 1]) for i in np.argsort(order)]
+    groups = [(edges[sorted(dims).index(d)], dims.count(d), d) for d in sorted(set(dims))]
     factors, rngs = _initial_factors(dims, config, partitions)
-    x_prev = [np.empty_like(f) for f in factors]  # each row's kept point before its last sweep
-    gains = np.zeros((2, n_prob * r))  # lam2 gains of each row's last two sweeps, latest first
-    lam2 = np.full(n_prob * r, -1.0)
-    overlap = np.zeros(n_prob * r)
+    factors = np.concatenate([factors[t] for t in order], axis=1)
+    x_prev = np.empty_like(factors)  # each row's kept point before its last sweep
+    # Per row: overlap, lam2, and the lam2 gains of its last two sweeps (latest first).
+    scalars = np.zeros((4, n_prob * r))
+    scalars[1] = -1.0
+    lam2 = scalars[1].reshape(n_prob, r)  # a view, so it follows every scatter
     iterations = np.full(n_prob * r, config.max_iterations, dtype=int)
     converged = np.zeros(n_prob * r, dtype=bool)
     active = np.ones(n_prob * r, dtype=bool)
@@ -428,51 +456,49 @@ def _ascent(stack, partitions, config: OptimizerConfig) -> list[OverlapResult]:
         if idx.size == 0:
             break
         n, prob = idx.size, idx // r
-        x = [f[idx] for f in factors]
+        x, s = factors[idx], scalars[:, idx]
         # The restarts that still crawl get a twin beyond x along their last sweep.
         if sweep == 1:
             twin = np.zeros(0, dtype=int)
         elif sweep <= 1 + _TWIN_SWEEPS:
             twin = np.arange(n)
         else:
-            twin = np.flatnonzero(gains[0, idx] > _TWIN_RATIO * gains[1, idx])
+            twin = np.flatnonzero(s[2] > _TWIN_RATIO * s[3])
         if twin.size:
             beta = min((sweep - 1) / 3, _TWIN_BETA_MAX)
-            x = [np.concatenate([a, _extrapolate(p[idx[twin]], a[twin], beta)])
-                 for a, p in zip(x, x_prev)]
-        for p, a in zip(x_prev, x):
-            p[idx] = a[:n]
-        value = _sweep(steps, x, np.concatenate([prob, prob[twin]]),
-                       np.concatenate([overlap[idx], np.zeros(twin.size)]), n, rngs, reinjections)
+            x = np.concatenate([x, _extrapolate(x_prev[idx[twin]], x[twin], beta, groups)])
+        x_prev[idx] = x[:n]
+        value = _sweep(steps, [x[:, c] for c in cols], np.concatenate([prob, prob[twin]]),
+                       np.concatenate([s[0], np.zeros(twin.size)]), n, rngs, reinjections)
         won = value[n:] > value[twin]
-        for a in x:
-            a[twin[won]] = a[n:][won]
+        x[twin[won]] = x[n:][won]
         value[twin[won]] = value[n:][won]
         value = value[:n]
-        for f, a in zip(factors, x):
-            f[idx] = a[:n]
-        overlap[idx] = value
-        gains[1, idx] = gains[0, idx]
-        gains[0, idx] = value ** 2 - lam2[idx]
-        lam2[idx] = value ** 2
-        newly = idx[np.abs(gains[0, idx]) < config.tol]
+        factors[idx] = x[:n]
+        s[3] = s[2]
+        s[2] = value ** 2 - s[1]
+        s[1] = value ** 2
+        s[0] = value
+        scalars[:, idx] = s
+        newly = idx[np.abs(s[2]) < config.tol]
         iterations[newly] = sweep
         converged[newly] = True
         active[newly] = False
-        certified = lam2.reshape(n_prob, r).max(axis=1) >= stop_at
+        certified = lam2.max(axis=1) >= stop_at
         if certified.any():
-            best = np.flatnonzero(certified) * r + lam2.reshape(n_prob, r)[certified].argmax(axis=1)
+            best = np.flatnonzero(certified) * r + lam2[certified].argmax(axis=1)
             iterations[best] = sweep
             converged[best] = True
             active.reshape(n_prob, r)[certified] = False
             stop_at[certified] = np.inf
 
-    winners = np.arange(n_prob) * r + lam2.reshape(n_prob, r).argmax(axis=1)
-    gauged = [_gauge_fix(f[winners]) for f in factors]
+    winners = np.arange(n_prob) * r + lam2.argmax(axis=1)
+    best_rows = factors[winners]
+    gauged = [_gauge_fix(best_rows[:, c]) for c in cols]
     results = []
     for p, (partition, winner) in enumerate(zip(partitions, winners)):
         product = ProductState(partition, tuple(g[p] for g in gauged))
-        best = min(float(lam2[winner]), 1.0)
+        best = min(float(scalars[1, winner]), 1.0)
         results.append(OverlapResult(
             lambda2=best,
             e_g=1.0 - best,

@@ -22,8 +22,9 @@ from .closedform import cascade_f, cascade_max_f, line_max
 from .errors import DomainError, ShapeMismatchError
 from .hierarchy import (
     DEGENERACY_TOL,
-    egk_absolute,
-    full_hierarchy,
+    _egk_absolute,
+    _full_hierarchy,
+    _process_map,
     is_symmetric,
     scale_invariance_check,
     sweep_eta,
@@ -413,7 +414,7 @@ def _check_tables(config, numeric_tol):
     return results
 
 
-def _check_fullsep(config, workers):
+def _check_fullsep(config, pmap):
     lines = []
     ok = True
     for n in range(3, 9):
@@ -428,7 +429,7 @@ def _check_fullsep(config, workers):
     for n in range(2, 9):
         psi = ghz(n)
         for k in range(2, n + 1):
-            value, _ = egk_absolute(psi, k, config, workers=workers)
+            value, _ = _egk_absolute(psi, k, config, "auto", pmap)
             good = abs(value - 0.5) <= 1e-9
             ok = ok and good
             if not good:
@@ -461,7 +462,7 @@ def _paper_family_states():
     return families
 
 
-def _check_monotonicity(config, workers, n_states):
+def _check_monotonicity(config, pmap, n_states):
     lines = []
     ok = True
     random_config = replace(config, restarts=max(8, config.restarts // 4))
@@ -470,18 +471,19 @@ def _check_monotonicity(config, workers, n_states):
     for n, how_many in ((4, per_size), (5, n_states - per_size)):
         for i in range(how_many):
             psi = random_state(n, np.random.SeedSequence([config.seed, n, i]))
-            report = full_hierarchy(psi, random_config, workers=workers)
+            report = _full_hierarchy(psi, random_config, "auto", pmap)
             if not report.monotonic:
                 ok = False
                 lines.append(f"random n={n} index={i}: violations {report.violations}")
             count += 1
     lines.append(f"random states checked: {count}")
-    for name, psi in _paper_family_states():
-        report = full_hierarchy(psi, config, workers=workers)
+    families = _paper_family_states()
+    for name, psi in families:
+        report = _full_hierarchy(psi, config, "auto", pmap)
         if not report.monotonic:
             ok = False
             lines.append(f"family {name}: violations {report.violations}")
-    lines.append("family states checked: %d" % len(_paper_family_states()))
+    lines.append("family states checked: %d" % len(families))
     return [CheckResult("7", "monotonicity", ok, tuple(lines))]
 
 
@@ -646,8 +648,8 @@ def _check_lemmas(config):
 
 _SUITES = {
     "tables": lambda cfg, kw: _check_tables(cfg, kw["numeric_tol"]),
-    "fullsep": lambda cfg, kw: _check_fullsep(cfg, kw["workers"]),
-    "monotonicity": lambda cfg, kw: _check_monotonicity(cfg, kw["workers"], kw["monotonicity_states"]),
+    "fullsep": lambda cfg, kw: _check_fullsep(cfg, kw["pmap"]),
+    "monotonicity": lambda cfg, kw: _check_monotonicity(cfg, kw["pmap"], kw["monotonicity_states"]),
     "scale": lambda cfg, kw: _check_scale(cfg),
     "figures": lambda cfg, kw: _check_figures(cfg),
     "oracle": lambda cfg, kw: _check_oracle(cfg),
@@ -669,14 +671,12 @@ def run_verify(config: OptimizerConfig | None = None, *, suites=None, workers: i
     for name in chosen:
         if name not in _SUITES:
             raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    kwargs = {
-        "workers": workers,
-        "monotonicity_states": monotonicity_states,
-        "numeric_tol": numeric_tol,
-    }
     results = []
-    for name in chosen:
-        results.extend(_SUITES[name](config, kwargs))
+    with _process_map(workers) as pmap:
+        kwargs = {"pmap": pmap, "monotonicity_states": monotonicity_states,
+                  "numeric_tol": numeric_tol}
+        for name in chosen:
+            results.extend(_SUITES[name](config, kwargs))
     return VerifyReport(seed=config.seed, results=tuple(results))
 
 

@@ -3,6 +3,7 @@ import pytest
 
 import geoent as ge
 from geoent.errors import DomainError, ResourceCapError
+from geoent import reports
 from geoent.reports import compute_curve
 
 FULL3 = ge.Partition(((1,), (2,), (3,)))
@@ -102,6 +103,29 @@ class TestAbsolute:
             serial = ge.egk_absolute(psi, k, fast_config, workers=1)
             parallel = ge.egk_absolute(psi, k, fast_config, workers=2)
             assert serial == parallel
+
+    def test_one_pool_per_public_call(self, monkeypatch, fast_config):
+        # A fresh pool per level made --workers 2 slower than one worker.
+        from geoent import hierarchy as hmod
+
+        opened, closed = [], []
+
+        class Counted(hmod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+            def shutdown(self, *args, **kwargs):
+                closed.append(self)
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(hmod, "ProcessPoolExecutor", Counted)
+        psi = ge.random_state(5, 40)  # two shapes at K = 2 and at K = 3
+        assert ge.full_hierarchy(psi, fast_config, workers=2) == ge.full_hierarchy(psi, fast_config)
+        assert len(opened) == 1
+        report = reports.run_verify(fast_config, suites=["fullsep"], workers=2)
+        assert report.passed and len(opened) == 2
+        assert closed == opened
 
 
 class TestFullHierarchy:

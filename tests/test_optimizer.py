@@ -679,3 +679,62 @@ class TestQubitBlockInterval:
         partition = ge.Partition(blocks)
         with pytest.raises(DomainError):
             ge.qubit_block_interval(ge.random_state(partition.n, 0), partition)
+
+
+def wghz_pi_batch():
+    """Figure 1's W+GHZ curve at phi = pi, eta indices 1, 32, 50 and 99 of 101."""
+    eta = np.linspace(0.0, np.pi / 2, 101)
+    states = [ge.superpose(np.cos(eta[i]), ge.w(3), np.sin(eta[i]), np.pi, ge.ghz(3))
+              for i in (1, 32, 50, 99)]
+    return states, [ge.Partition(((1,), (2,), (3,)))] * 4, ge.OptimizerConfig(seed=1)
+
+
+def random_shape_batch(sizes):
+    """The first (at most) four partitions of one shape of a random 5-qubit state."""
+    partitions = [p for p in sorted(ge.set_partitions(5, len(sizes)), key=lambda p: p.sort_key())
+                  if p.shape.sizes == sizes][:4]
+    return ([ge.random_state(5, 7)] * len(partitions), partitions,
+            ge.OptimizerConfig(restarts=16, seed=1))
+
+
+def lone(psi, blocks, config=None):
+    return [psi], [ge.Partition(blocks)], config or ge.OptimizerConfig()
+
+
+class TestTrajectory:
+    # The whole path of the ascent, recorded before its factors were packed
+    # into one array: (passes, rows swept, restart rows among them), then per
+    # problem lambda2, iterations, winner_restart and reinjections.
+    @pytest.mark.parametrize("case, path, lam2, iterations, winners, reinjections", [
+        (wghz_pi_batch, (50, 9533, 5702),
+         [0.45010732563580524, 0.5720079311821555, 0.5878531404199031, 0.5001212512111706],
+         [44, 14, 10, 4], [26, 6, 0, 20], [0, 0, 0, 0]),
+        (lambda: random_shape_batch((1, 2, 2)), (21, 1179, 974),
+         [0.48490146053571, 0.43746669248268183, 0.41895209623877966, 0.49054499790857337],
+         [13, 18, 15, 13], [14, 10, 13, 5], [0, 0, 0, 0]),
+        (lambda: random_shape_batch((1, 1, 1, 2)), (18, 1005, 845),
+         [0.4836122635668925, 0.40153698356236905, 0.4148855395281704, 0.4041374826559176],
+         [11, 11, 12, 14], [8, 2, 15, 2], [0, 0, 0, 0]),
+        (lambda: random_shape_batch((1, 1, 1, 1, 1)), (17, 267, 218),
+         [0.39777526146075015], [15], [9], [0]),
+        (lambda: lone(ge.magnon(7, 2), ((1,), (2, 3, 4), (5, 6, 7))), (40, 2438, 1482),
+         [0.42857142857142866], [2], [4], [1]),
+        (lambda: lone(ge.basis_ket(3, 7), ((1,), (2,), (3,)), ge.OptimizerConfig(restarts=1)),
+         (2, 3, 2), [1.0], [2], [0], [1]),
+        (lambda: lone(ge.basis_ket(4, 15), ((1,), (2,), (3,), (4,)),
+                      ge.OptimizerConfig(restarts=1)),
+         (2, 3, 2), [1.0], [2], [0], [1]),
+        (lambda: lone(ge.basis_ket(4, 5), ((1,), (2,), (3, 4))), (1, 64, 64),
+         [1.0], [1], [1], [8]),
+    ], ids=["wghz-pi-1|1|1", "random5-1|2|2", "random5-1|1|1|2", "random5-1|1|1|1|1",
+            "magnon7_2-1|3|3", "reinject-3", "reinject-4", "certified-sweep-1"])
+    def test_path_is_pinned(self, case, path, lam2, iterations, winners, reinjections,
+                            sweep_passes):
+        results = ge.best_overlaps(*case())
+        assert (len(sweep_passes), sum(r for r, _ in sweep_passes),
+                sum(p for _, p in sweep_passes)) == path
+        np.testing.assert_allclose([r.lambda2 for r in results], lam2, rtol=0, atol=1e-15)
+        assert [r.iterations for r in results] == iterations
+        assert [r.winner_restart for r in results] == winners
+        assert [r.reinjections for r in results] == reinjections
+        assert all(r.converged for r in results)
