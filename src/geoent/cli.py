@@ -32,7 +32,7 @@ def _default_seed() -> int:
     return int(os.environ.get("GEOENT_SEED", "0"))
 
 
-def _add_optimizer_flags(parser):
+def _add_optimizer_flags(parser, workers=False):
     parser.add_argument("--restarts", type=int, default=64,
                         help="starts of the K >= 3 ascent per partition (default: 64)")
     parser.add_argument("--max-iterations", type=int, default=10000,
@@ -41,8 +41,9 @@ def _add_optimizer_flags(parser):
                         help="stop a restart when a sweep gains less (default: 1e-12)")
     parser.add_argument("--seed", type=int, default=None,
                         help="random seed (default: GEOENT_SEED or 0)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="process count for partition scans")
+    if workers:
+        parser.add_argument("--workers", type=int, default=1,
+                            help="process count for partition scans")
 
 
 def _config(args) -> OptimizerConfig:
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shapes-only", action="store_true")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("-o", "--output")
-    _add_optimizer_flags(p)
+    _add_optimizer_flags(p, workers=True)
     p.set_defaults(func=cmd_egk)
 
     p = sub.add_parser("hierarchy", help="full K = 2..N report")
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shapes-only", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--output")
-    _add_optimizer_flags(p)
+    _add_optimizer_flags(p, workers=True)
     p.set_defaults(func=cmd_hierarchy)
 
     p = sub.add_parser("tables", help="emit a reference table")
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--numeric-tol", type=float, default=None,
                    help="override the table comparison tolerances")
     p.add_argument("-o", "--output")
-    _add_optimizer_flags(p)
+    _add_optimizer_flags(p, workers=True)
     p.set_defaults(func=cmd_verify)
 
     return parser

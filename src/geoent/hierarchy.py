@@ -4,6 +4,7 @@ The absolute measure at a given K is the minimum of the relative measure
 over K-block partitions. Symmetric states (invariant under every qubit
 transposition) need only one representative partition per block-size shape;
 asymmetric states are scanned over all set partitions, within size caps.
+A full hierarchy is monotone in K by construction (see ``full_hierarchy``).
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
-from itertools import repeat
+from dataclasses import dataclass
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -54,7 +55,7 @@ def _process_map(workers: int):
         yield pool.map if pool else map
 
 
-def _relative_values(psi, partitions, config, pmap):
+def _relative_values(psi, partitions, config, pmap) -> dict:
     """E per partition: one ``best_overlaps`` batch per shape, mapped by ``pmap``."""
     batches = {}
     for p in partitions:
@@ -63,7 +64,7 @@ def _relative_values(psi, partitions, config, pmap):
     results = (pmap if len(batches) > 1 else map)(best_overlaps, states, batches.values(),
                                                  repeat(config))
     e_g = {p: r.e_g for batch, rs in zip(batches.values(), results) for p, r in zip(batch, rs)}
-    return [e_g[p] for p in partitions]
+    return {p: e_g[p] for p in partitions}
 
 
 @dataclass(frozen=True)
@@ -126,21 +127,21 @@ def _resolve_scan(n: int, scan: str, symmetric: bool) -> str:
     raise DomainError(f"unknown scan mode {scan!r}")
 
 
-def _scan_k(psi, k, config, scan_mode, pmap) -> KEntry:
+def _scan_k(psi, k, config, scan_mode, pmap) -> dict:
+    """E per scanned K-block partition: one representative per shape, or all."""
     n = psi.num_qubits
     if scan_mode == "shapes":
         partitions = [representative_partition(s) for s in shapes(n, k)]
-        keys = [p.shape.text for p in partitions]
     else:
         partitions = sorted(set_partitions(n, k), key=lambda p: p.sort_key())
-        keys = [p.text for p in partitions]
-    values = _relative_values(psi, partitions, config, pmap)
-    minimum = min(values)
-    argmin = tuple(
-        p for p, v in zip(partitions, values) if v <= minimum + DEGENERACY_TOL
-    )
-    relative = dict(zip(keys, values))
-    return KEntry(k, minimum, argmin, relative, scan_mode)
+    return _relative_values(psi, partitions, config, pmap)
+
+
+def _entry(k, values, scan_mode) -> KEntry:
+    minimum = min(values.values())
+    argmin = tuple(p for p, v in values.items() if v <= minimum + DEGENERACY_TOL)
+    key = (lambda p: p.shape.text) if scan_mode == "shapes" else (lambda p: p.text)
+    return KEntry(k, minimum, argmin, {key(p): v for p, v in values.items()}, scan_mode)
 
 
 def egk_absolute(psi: PureState, k: int, config: OptimizerConfig | None = None,
@@ -158,17 +159,20 @@ def _egk_absolute(psi, k, config, scan, pmap):
     if not 2 <= k <= psi.num_qubits:
         raise DomainError(f"need 2 <= K <= N, got K={k}, N={psi.num_qubits}")
     scan_mode = _resolve_scan(psi.num_qubits, scan, scan == "auto" and is_symmetric(psi))
-    entry = _scan_k(psi, k, config, scan_mode, pmap)
+    entry = _entry(k, _scan_k(psi, k, config, scan_mode, pmap), scan_mode)
     return entry.absolute_e, list(entry.argmin_partitions)
 
 
 def full_hierarchy(psi: PureState, config: OptimizerConfig | None = None,
                    scan: str = "auto", workers: int = 1) -> HierarchyReport:
-    """Absolute measures for K = 2..N with the monotonicity verdict.
+    """Absolute measures for K = 2..N, monotone in K by construction.
 
-    The law E^(K-1) <= E^(K) is a theorem; an apparent violation means the
-    (K-1)-scan under-optimized, so that scan is re-run once with 4x restarts
-    before the violation is reported.
+    Levels are scanned from K = N down. Merging two blocks of the product state
+    that realizes a level-K argmin P keeps its overlap, so each coarsening P'
+    that level K-1 scans takes min(E(P'), E(P)). A full scan holds every P';
+    a shape scan holds the merge of P's two largest blocks, a representative.
+    ``monotonic`` says whether the scans alone obeyed the law; ``violations``
+    lists each K whose (K-1)-scan minimum exceeded E^(K) by MONOTONICITY_TOL.
     """
     with _process_map(workers) as pmap:
         return _full_hierarchy(psi, config or OptimizerConfig(), scan, pmap)
@@ -178,20 +182,21 @@ def _full_hierarchy(psi, config, scan, pmap) -> HierarchyReport:
     n = psi.num_qubits
     symmetric = is_symmetric(psi)
     scan_mode = _resolve_scan(n, scan, symmetric)
-    entries = {k: _scan_k(psi, k, config, scan_mode, pmap) for k in range(2, n + 1)}
-
-    # Descending sweep: re-running K-1 can only lower E^(K-1), which only
-    # affects the pair below it, examined later in this order.
-    for k in range(n, 2, -1):
-        if entries[k - 1].absolute_e > entries[k].absolute_e + MONOTONICITY_TOL:
-            boosted = replace(config, restarts=config.restarts * 4)
-            entries[k - 1] = replace(
-                _scan_k(psi, k - 1, boosted, scan_mode, pmap), reran=True
-            )
+    entries, scan_min, above = {}, {}, {}
+    for k in range(n, 1, -1):
+        values = _scan_k(psi, k, config, scan_mode, pmap)
+        scan_min[k] = min(values.values())
+        # The coarsening witness: merge two blocks of each level-(K+1) argmin.
+        for p in entries[k + 1].argmin_partitions if k < n else ():
+            for s, t in combinations(p.blocks, 2):
+                merged = Partition(tuple(b for b in p.blocks if b not in (s, t)) + (s + t,))
+                if merged in values:
+                    values[merged] = min(values[merged], above[p])
+        entries[k], above = _entry(k, values, scan_mode), values
     violations = [
-        (k, entries[k - 1].absolute_e, entries[k].absolute_e)
+        (k, scan_min[k - 1], entries[k].absolute_e)
         for k in range(3, n + 1)
-        if entries[k - 1].absolute_e > entries[k].absolute_e + MONOTONICITY_TOL
+        if scan_min[k - 1] > entries[k].absolute_e + MONOTONICITY_TOL
     ]
     return HierarchyReport(
         num_qubits=n,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-import scipy.optimize
 
 from . import closedform
 from .closedform import cascade_f, cascade_max_f, line_max
@@ -25,6 +24,7 @@ from .hierarchy import (
     _egk_absolute,
     _full_hierarchy,
     _process_map,
+    _relative_values,
     is_symmetric,
     scale_invariance_check,
     sweep_eta,
@@ -175,14 +175,9 @@ def _closed_value(route: str | None, shape: Shape):
 def _shape_numeric(psi, shape: Shape, config, symmetric: bool) -> float:
     """Numeric value for a table row: relative on one representative partition
     for symmetric states, else the minimum over all partitions of the shape."""
-    if symmetric:
-        return best_overlap(psi, representative_partition(shape), config).e_g
-    values = [
-        best_overlap(psi, p, config).e_g
-        for p in set_partitions(shape.n, shape.k)
-        if p.shape == shape
-    ]
-    return min(values)
+    partitions = ([representative_partition(shape)] if symmetric
+                  else [p for p in set_partitions(shape.n, shape.k) if p.shape == shape])
+    return min(_relative_values(psi, partitions, config, map).values())
 
 
 def compute_table(table: str, config: OptimizerConfig | None = None) -> TableResult:
@@ -606,29 +601,29 @@ def _check_oracle(config):
     return [CheckResult("10", "oracle-cross-validation", all(good), lines)]
 
 
-def _dense_grid_cascade_max(m: int, points: int = 8) -> float:
-    axes = [np.linspace(0.0, np.pi / 2, points)] * m
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    values = cascade_f(mesh)
-    best = mesh[int(np.argmax(values))]
-    res = scipy.optimize.minimize(
-        lambda x: -float(cascade_f(x)), best,
-        method="Powell", bounds=[(0.0, np.pi / 2)] * m,
-    )
-    return float(-res.fun)
+def _hypersphere_point(deltas) -> np.ndarray:
+    """u(d) in R^(m+1): u_i = cos d_i prod_{j<i} sin d_j, u_(m+1) = prod_j sin d_j.
+    A unit vector, so cascade_f(d) = sum_(i<=m) u_i <= sqrt(m) by Cauchy-Schwarz,
+    with equality only at u = (1/sqrt(m), ..., 1/sqrt(m), 0)."""
+    sines = np.cumprod(np.sin(deltas), axis=-1)
+    ones = np.ones_like(sines[..., :1])
+    return np.concatenate([np.cos(deltas), ones], -1) * np.concatenate([ones, sines], -1)
 
 
 def _check_lemmas(config):
     lines = []
     ok = True
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xCA5]))
     for m in range(1, 7):
         value, angles = cascade_max_f(m)
-        grid = _dense_grid_cascade_max(m)
-        good = (abs(value ** 2 - m) <= 1e-12
-                and abs(float(cascade_f(angles)) - value) <= 1e-12
-                and abs(grid - value) <= 1e-6)
+        gap = np.max(np.abs(_hypersphere_point(angles) - np.append(np.full(m, m ** -0.5), 0.0)))
+        d = rng.uniform(0.0, np.pi / 2, (256, m))
+        v = _hypersphere_point(d)[:, :m]
+        good = (abs(value ** 2 - m) <= 1e-12 and abs(float(cascade_f(angles)) - value) <= 1e-12
+                and gap <= 1e-12 and np.max(np.abs(cascade_f(d) - v.sum(axis=1))) <= 1e-12
+                and np.max(np.linalg.norm(v, axis=1)) <= 1.0 + 1e-12)
         ok = ok and good
-        lines.append(f"cascade m={m}: max={fmt(value)} grid={fmt(grid)} "
+        lines.append(f"cascade m={m}: max={fmt(value)} argmax-gap={fmt(gap)} "
                      f"[{'ok' if good else 'MISMATCH'}]")
     for x, y in ((1.0, 0.0), (1.0, 1.0), (3.0, 4.0), (0.3, 1.7)):
         value, _ = line_max(x, y)

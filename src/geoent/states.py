@@ -77,10 +77,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
     @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    @property
     def tensor(self) -> np.ndarray:
         """The amplitude vector reshaped to one axis per qubit (read-only view)."""
         return self.amplitudes.reshape((2,) * self.num_qubits)

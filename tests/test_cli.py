@@ -176,6 +176,19 @@ class TestTablesCommand:
         assert err.value.code == 2
 
 
+class TestWorkersFlag:
+    @pytest.mark.parametrize("argv", [["tables", "--table", "I"], ["curves", "--figure", "3"]])
+    def test_rejected_where_nothing_is_scanned(self, argv):
+        with pytest.raises(SystemExit) as err:
+            run(*argv, "--workers", 2)
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["egk", "s.json", "--k", "2"], ["hierarchy", "s.json"],
+                                      ["verify"]])
+    def test_accepted_where_partitions_are_scanned(self, argv):
+        assert cli.build_parser().parse_args(argv + ["--workers", "2"]).workers == 2
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self):
         src = Path(__file__).resolve().parents[1] / "src"

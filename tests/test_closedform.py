@@ -379,6 +379,30 @@ class TestCascade:
         samples = rng.uniform(0.0, np.pi / 2, (2000, 4))
         assert np.max(ge.cascade_f(samples)) <= 2.0 + 1e-12
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_sum_of_hypersphere_coordinates(self, m):
+        # cascade_f = sum v_i with ||v|| <= 1: the Cauchy-Schwarz check of criterion 11.
+        from geoent.reports import _hypersphere_point
+
+        d = np.random.default_rng(m).uniform(0.0, np.pi / 2, (500, m))
+        u = _hypersphere_point(d)
+        assert np.max(np.abs(np.linalg.norm(u, axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(ge.cascade_f(d) - u[:, :m].sum(axis=1))) <= 1e-12
+        assert np.max(np.linalg.norm(u[:, :m], axis=1)) <= 1.0 + 1e-12
+        _, angles = ge.cascade_max_f(m)
+        assert np.max(np.abs(_hypersphere_point(angles)[:m] - 1.0 / np.sqrt(m))) <= 1e-12
+
+    def test_shifted_argmax_fails_criterion_11(self, monkeypatch):
+        # A 1e-6 shift moves cascade_f by only O(1e-12) but u(d) by O(1e-6).
+        from geoent import reports
+
+        real = reports.cascade_max_f
+        monkeypatch.setattr(reports, "cascade_max_f", lambda m: (real(m)[0], real(m)[1] + 1e-6))
+        report = reports.run_verify(suites=["lemmas"])
+        lines = [line for line in report.results[0].lines if line.startswith("cascade")]
+        assert not report.passed
+        assert len(lines) == 6 and all(line.endswith("[MISMATCH]") for line in lines)
+
 
 class TestLineMax:
     @pytest.mark.parametrize("x,y,value,angle", [

@@ -174,24 +174,28 @@ class TestFullHierarchy:
         report = ge.full_hierarchy(psi, fast_config)
         assert report.monotonic, report.violations
 
-    def test_violation_triggers_rerun(self, monkeypatch, fast_config):
+    def test_underperforming_scan_is_reported_and_coarsened(self, monkeypatch, fast_config):
         from types import SimpleNamespace
 
         from geoent import hierarchy as hmod
 
         real = hmod.best_overlaps
 
-        def underperform_first_k2_scan(states, partitions, config=None):
+        def underperform_k2_scan(states, partitions, config=None):
             results = real(states, partitions, config)
-            if partitions[0].k == 2 and config.restarts == fast_config.restarts:
+            if partitions[0].k == 2:
                 return [SimpleNamespace(e_g=min(1.0, r.e_g + 0.3)) for r in results]
             return results
 
-        monkeypatch.setattr(hmod, "best_overlaps", underperform_first_k2_scan)
+        monkeypatch.setattr(hmod, "best_overlaps", underperform_k2_scan)
         report = hmod.full_hierarchy(ge.w(4), fast_config)
-        assert report.entry(2).reran
-        assert report.monotonic
-        assert report.entry(2).absolute_e == pytest.approx(0.25, abs=1e-9)
+        (k, scanned, above), = report.violations
+        assert k == 3
+        assert scanned == pytest.approx(0.55, abs=1e-9)
+        assert above == pytest.approx(0.5, abs=1e-9)
+        assert not report.monotonic
+        assert report.entry(2).absolute_e == pytest.approx(0.5, abs=1e-9)
+        assert report.entry(2).absolute_e <= report.entry(3).absolute_e
 
     @pytest.mark.parametrize("psi", [ge.w(4), ge.cluster4()], ids=["w4", "cluster4"])
     def test_is_symmetric_called_once(self, psi, monkeypatch, fast_config):
@@ -217,6 +221,59 @@ class TestFullHierarchy:
         assert set(entry) == {"k", "absolute_e", "argmin_partitions", "scan", "relative"}
         assert entry["argmin_partitions"] == ["1|2,3,4"]
         assert "1|3" in entry["relative"]
+
+
+def _coarsenings(p):
+    """Every partition made by merging two blocks of p."""
+    return [ge.Partition(tuple(b for b in p.blocks if b not in (s, t)) + (s + t,))
+            for i, s in enumerate(p.blocks) for t in p.blocks[i + 1:]]
+
+
+def _scanned_key(p, scan):
+    """The ``relative`` key of p, or None where the scan does not hold p."""
+    if scan == "full":
+        return p.text
+    return p.shape.text if p == ge.representative_partition(p.shape) else None
+
+
+_WGHZ = [ge.superpose(np.cos(np.pi / 6), ge.w(n), np.sin(np.pi / 6), 0.0, ge.ghz(n))
+         for n in range(4, 7)]
+_MONOTONE_CASES = (
+    [(f"random{n}_{i}", ge.random_state(n, 300 + i), "auto") for n in (4, 5) for i in range(2)]
+    + [(f"{name}{n}", build(n), "auto")
+       for name, build in (("ghz", ge.ghz), ("w", ge.w), ("magnon2_", lambda n: ge.magnon(n, 2)),
+                           ("wghz", lambda n: _WGHZ[n - 4]))
+       for n in range(4, 7)]
+    + [("random5_shapes", ge.random_state(5, 7), "shapes")]
+)
+
+
+class TestMonotoneByConstruction:
+    @pytest.mark.parametrize("psi, scan", [c[1:] for c in _MONOTONE_CASES],
+                             ids=[c[0] for c in _MONOTONE_CASES])
+    def test_absolute_nondecreasing_and_coarsenings_below(self, psi, scan, fast_config):
+        report = ge.full_hierarchy(psi, fast_config, scan=scan)
+        values = [e.absolute_e for e in report.entries]
+        assert values == sorted(values)
+        for k in range(3, psi.num_qubits + 1):
+            entry, below = report.entry(k), report.entry(k - 1)
+            for p in entry.argmin_partitions:
+                e_p = entry.relative[_scanned_key(p, entry.scan)]
+                keys = [_scanned_key(q, below.scan) for q in _coarsenings(p)]
+                assert all(below.relative[key] <= e_p for key in keys if key is not None)
+
+    def test_forced_shape_scan_takes_ascent_or_witness(self, fast_config):
+        psi = ge.random_state(5, 7)
+        report = ge.full_hierarchy(psi, fast_config, scan="shapes")
+        assert not report.symmetric
+        for entry in report.entries:
+            for key, value in entry.relative.items():
+                rep = ge.representative_partition(ge.Shape.from_text(key))
+                witnesses = [] if entry.k == psi.num_qubits else [
+                    report.entry(entry.k + 1).relative[p.shape.text]
+                    for p in report.entry(entry.k + 1).argmin_partitions
+                    if rep in _coarsenings(p)]
+                assert value == ge.best_overlap(psi, rep, fast_config).e_g or value in witnesses
 
 
 class TestPhaseIndependence:
