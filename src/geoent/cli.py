@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import reports
@@ -28,10 +27,6 @@ CAP_ERROR = 3
 NUMERIC_ERROR = 4
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("GEOENT_SEED", "0"))
-
-
 def _add_optimizer_flags(parser, workers=False):
     parser.add_argument("--restarts", type=int, default=64,
                         help="starts of the K >= 3 ascent per partition (default: 64)")
@@ -39,20 +34,21 @@ def _add_optimizer_flags(parser, workers=False):
                         help="sweep cap of each ascent restart (default: 10000)")
     parser.add_argument("--tol", type=float, default=1e-12,
                         help="stop a restart when a sweep gains less (default: 1e-12)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="random seed (default: GEOENT_SEED or 0)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="random seed (default: 0)")
     if workers:
         parser.add_argument("--workers", type=int, default=1,
-                            help="process count for partition scans")
+                            help="worker processes, an int >= 1 (default: 1): egk and "
+                                 "hierarchy map a scan's shape batches over them, verify "
+                                 "its independent states and cases")
 
 
 def _config(args) -> OptimizerConfig:
-    seed = args.seed if args.seed is not None else _default_seed()
     return OptimizerConfig(
         restarts=args.restarts,
         max_iterations=args.max_iterations,
         tol=args.tol,
-        seed=seed,
+        seed=args.seed,
     )
 
 
@@ -194,13 +190,7 @@ def cmd_curves(args) -> int:
 
 def cmd_verify(args) -> int:
     config = _config(args)
-    report = reports.run_verify(
-        config,
-        suites=args.suite or None,
-        workers=args.workers,
-        monotonicity_states=args.monotonicity_states,
-        numeric_tol=args.numeric_tol,
-    )
+    report = reports.run_verify(config, suites=args.suite or None, workers=args.workers)
     _write_output(reports.render_report(report), args.output)
     return 0 if report.passed else 1
 
@@ -262,9 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--suite", action="append", choices=reports.SUITE_NAMES,
                    help="restrict to named suites (repeatable)")
-    p.add_argument("--monotonicity-states", type=int, default=200)
-    p.add_argument("--numeric-tol", type=float, default=None,
-                   help="override the table comparison tolerances")
     p.add_argument("-o", "--output")
     _add_optimizer_flags(p, workers=True)
     p.set_defaults(func=cmd_verify)

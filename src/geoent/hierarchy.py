@@ -4,12 +4,14 @@ The absolute measure at a given K is the minimum of the relative measure
 over K-block partitions. Symmetric states (invariant under every qubit
 transposition) need only one representative partition per block-size shape;
 asymmetric states are scanned over all set partitions, within size caps.
-A full hierarchy is monotone in K by construction (see ``full_hierarchy``).
+Every scanned partition is an independent distance problem: a public call
+gathers them all, runs one ``best_overlaps`` batch per shape, and maps the
+batches over ``workers`` processes. A full hierarchy is then made monotone
+in K by construction (see ``full_hierarchy``).
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -26,14 +28,8 @@ from .states import PureState, ghz, magnon, permute_qubits, superpose, w, w_tild
 SYMMETRY_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 MONOTONICITY_TOL = 1e-9
-
-
-def _max_full_scan() -> int:
-    return int(os.environ.get("GEOENT_MAX_FULL_SCAN", "8"))
-
-
-def _max_shape_scan() -> int:
-    return int(os.environ.get("GEOENT_MAX_SHAPE_SCAN", "14"))
+MAX_FULL_SCAN = 8
+MAX_SHAPE_SCAN = 14
 
 
 def is_symmetric(psi: PureState, tol: float = SYMMETRY_TOL) -> bool:
@@ -48,21 +44,28 @@ def is_symmetric(psi: PureState, tol: float = SYMMETRY_TOL) -> bool:
 
 
 @contextmanager
-def _process_map(workers: int):
-    """``map`` over a pool of ``workers`` processes, shut down on exit, or the
-    builtin ``map`` for one worker. A public call opens one and passes it down."""
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+def _process_map(workers: int, tasks: int | None = None):
+    """``map`` over a pool of ``workers`` processes (no more than ``tasks``),
+    shut down on exit, or the builtin ``map`` for a pool of one. Only
+    ``_relative_values`` (for one scan) and ``reports.run_verify`` (for its
+    suites) open one; work mapped over a pool runs with one worker, so no
+    pool is opened inside another."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise DomainError(f"workers must be an int >= 1, got {workers!r}")
+    size = workers if tasks is None else min(workers, tasks)
+    with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
         yield pool.map if pool else map
 
 
-def _relative_values(psi, partitions, config, pmap) -> dict:
-    """E per partition: one ``best_overlaps`` batch per shape, mapped by ``pmap``."""
+def _relative_values(psi, partitions, config, workers) -> dict:
+    """E per partition, in input order: one ``best_overlaps`` batch per shape,
+    the batches mapped over at most ``workers`` processes."""
     batches = {}
     for p in partitions:
         batches.setdefault(p.shape, []).append(p)
-    states = [[psi] * len(b) for b in batches.values()]
-    results = (pmap if len(batches) > 1 else map)(best_overlaps, states, batches.values(),
-                                                 repeat(config))
+    with _process_map(workers, len(batches)) as pmap:
+        results = list(pmap(best_overlaps, [[psi] * len(b) for b in batches.values()],
+                            batches.values(), repeat(config)))
     e_g = {p: r.e_g for batch, rs in zip(batches.values(), results) for p, r in zip(batch, rs)}
     return {p: e_g[p] for p in partitions}
 
@@ -112,29 +115,24 @@ class HierarchyReport:
 
 def _resolve_scan(n: int, scan: str, symmetric: bool) -> str:
     if scan == "shapes" or (scan == "auto" and symmetric):
-        if n > _max_shape_scan():
-            raise ResourceCapError(
-                f"N={n} exceeds the shape-scan cap of {_max_shape_scan()}"
-            )
+        if n > MAX_SHAPE_SCAN:
+            raise ResourceCapError(f"N={n} exceeds the shape-scan cap of {MAX_SHAPE_SCAN}")
         return "shapes"
     if scan in ("auto", "full"):
-        if n > _max_full_scan():
+        if n > MAX_FULL_SCAN:
             raise ResourceCapError(
-                f"N={n} exceeds the full set-partition scan cap of {_max_full_scan()}; "
+                f"N={n} exceeds the full set-partition scan cap of {MAX_FULL_SCAN}; "
                 "use the shapes-only scan"
             )
         return "full"
     raise DomainError(f"unknown scan mode {scan!r}")
 
 
-def _scan_k(psi, k, config, scan_mode, pmap) -> dict:
-    """E per scanned K-block partition: one representative per shape, or all."""
-    n = psi.num_qubits
+def _scanned_partitions(n, k, scan_mode) -> list:
+    """The K-block partitions a scan visits: one representative per shape, or all."""
     if scan_mode == "shapes":
-        partitions = [representative_partition(s) for s in shapes(n, k)]
-    else:
-        partitions = sorted(set_partitions(n, k), key=lambda p: p.sort_key())
-    return _relative_values(psi, partitions, config, pmap)
+        return [representative_partition(s) for s in shapes(n, k)]
+    return sorted(set_partitions(n, k), key=lambda p: p.sort_key())
 
 
 def _entry(k, values, scan_mode) -> KEntry:
@@ -151,15 +149,13 @@ def egk_absolute(psi: PureState, k: int, config: OptimizerConfig | None = None,
     Returns (value, realizing_partitions); every partition within 1e-9 of the
     minimum is reported, in canonical order.
     """
-    with _process_map(workers) as pmap:
-        return _egk_absolute(psi, k, config or OptimizerConfig(), scan, pmap)
-
-
-def _egk_absolute(psi, k, config, scan, pmap):
-    if not 2 <= k <= psi.num_qubits:
-        raise DomainError(f"need 2 <= K <= N, got K={k}, N={psi.num_qubits}")
-    scan_mode = _resolve_scan(psi.num_qubits, scan, scan == "auto" and is_symmetric(psi))
-    entry = _entry(k, _scan_k(psi, k, config, scan_mode, pmap), scan_mode)
+    n = psi.num_qubits
+    if not 2 <= k <= n:
+        raise DomainError(f"need 2 <= K <= N, got K={k}, N={n}")
+    scan_mode = _resolve_scan(n, scan, scan == "auto" and is_symmetric(psi))
+    values = _relative_values(psi, _scanned_partitions(n, k, scan_mode),
+                              config or OptimizerConfig(), workers)
+    entry = _entry(k, values, scan_mode)
     return entry.absolute_e, list(entry.argmin_partitions)
 
 
@@ -167,24 +163,24 @@ def full_hierarchy(psi: PureState, config: OptimizerConfig | None = None,
                    scan: str = "auto", workers: int = 1) -> HierarchyReport:
     """Absolute measures for K = 2..N, monotone in K by construction.
 
-    Levels are scanned from K = N down. Merging two blocks of the product state
-    that realizes a level-K argmin P keeps its overlap, so each coarsening P'
-    that level K-1 scans takes min(E(P'), E(P)). A full scan holds every P';
-    a shape scan holds the merge of P's two largest blocks, a representative.
+    The partitions of every level are scanned in one ``_relative_values``
+    call, so ``workers`` processes share all of the hierarchy's batches.
+    Then, from K = N down: merging two blocks of the product state that
+    realizes a level-K argmin P keeps its overlap, so each coarsening P' that
+    level K-1 scans takes min(E(P'), E(P)). A full scan holds every P'; a
+    shape scan holds the merge of P's two largest blocks, a representative.
     ``monotonic`` says whether the scans alone obeyed the law; ``violations``
     lists each K whose (K-1)-scan minimum exceeded E^(K) by MONOTONICITY_TOL.
     """
-    with _process_map(workers) as pmap:
-        return _full_hierarchy(psi, config or OptimizerConfig(), scan, pmap)
-
-
-def _full_hierarchy(psi, config, scan, pmap) -> HierarchyReport:
     n = psi.num_qubits
     symmetric = is_symmetric(psi)
     scan_mode = _resolve_scan(n, scan, symmetric)
+    levels = {k: _scanned_partitions(n, k, scan_mode) for k in range(n, 1, -1)}
+    scanned = _relative_values(psi, [p for ps in levels.values() for p in ps],
+                               config or OptimizerConfig(), workers)
     entries, scan_min, above = {}, {}, {}
-    for k in range(n, 1, -1):
-        values = _scan_k(psi, k, config, scan_mode, pmap)
+    for k, partitions in levels.items():
+        values = {p: scanned[p] for p in partitions}
         scan_min[k] = min(values.values())
         # The coarsening witness: merge two blocks of each level-(K+1) argmin.
         for p in entries[k + 1].argmin_partitions if k < n else ():
@@ -255,9 +251,9 @@ def scale_invariance_check(family: str, shape: Shape, l: int,
     if l < 1:
         raise DomainError("scale factor must be >= 1")
     scaled = shape.scaled(l)
-    if scaled.n > _max_shape_scan():
+    if scaled.n > MAX_SHAPE_SCAN:
         raise ResourceCapError(
-            f"scaled system of {scaled.n} qubits exceeds the cap of {_max_shape_scan()}"
+            f"scaled system of {scaled.n} qubits exceeds the cap of {MAX_SHAPE_SCAN}"
         )
     base = best_overlap(_family_state(family, shape.n, eta),
                         representative_partition(shape), config)

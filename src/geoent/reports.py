@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -21,10 +22,10 @@ from .closedform import cascade_f, cascade_max_f, line_max
 from .errors import DomainError, ShapeMismatchError
 from .hierarchy import (
     DEGENERACY_TOL,
-    _egk_absolute,
-    _full_hierarchy,
     _process_map,
     _relative_values,
+    egk_absolute,
+    full_hierarchy,
     is_symmetric,
     scale_invariance_check,
     sweep_eta,
@@ -44,6 +45,7 @@ from .states import (
 
 EXACT_TOL = 1e-7
 PRINTED_TOL = 5e-4
+_MONOTONICITY_STATES = 200
 
 
 def fmt(x: float) -> str:
@@ -177,7 +179,7 @@ def _shape_numeric(psi, shape: Shape, config, symmetric: bool) -> float:
     for symmetric states, else the minimum over all partitions of the shape."""
     partitions = ([representative_partition(shape)] if symmetric
                   else [p for p in set_partitions(shape.n, shape.k) if p.shape == shape])
-    return min(_relative_values(psi, partitions, config, map).values())
+    return min(_relative_values(psi, partitions, config, 1).values())
 
 
 def compute_table(table: str, config: OptimizerConfig | None = None) -> TableResult:
@@ -373,19 +375,15 @@ class VerifyReport:
         return all(r.passed for r in self.results)
 
 
-def _check_tables(config, numeric_tol):
+def _check_tables(config, pmap):
     results = []
     for table in ("I", "II", "III", "IV", "V"):
         result = compute_table(table, config)
         lines = []
         ok = True
         for r in result.rows:
-            tol_ref = numeric_tol if numeric_tol is not None else r.tolerance
-            ref_ok = abs(r.numeric - r.reference) <= tol_ref
-            closed_ok = True
-            if r.closed_value is not None:
-                tol_closed = numeric_tol if numeric_tol is not None else EXACT_TOL
-                closed_ok = abs(r.numeric - r.closed_value) <= tol_closed
+            ref_ok = abs(r.numeric - r.reference) <= r.tolerance
+            closed_ok = r.closed_value is None or abs(r.numeric - r.closed_value) <= EXACT_TOL
             ok = ok and ref_ok and closed_ok
             status = "ok" if (ref_ok and closed_ok) else "MISMATCH"
             lines.append(
@@ -421,14 +419,14 @@ def _check_fullsep(config, pmap):
         ok = ok and good
         lines.append(f"w{n} full separability: numeric={fmt(numeric)} "
                      f"closed={fmt(target)} [{'ok' if good else 'MISMATCH'}]")
-    for n in range(2, 9):
-        psi = ghz(n)
-        for k in range(2, n + 1):
-            value, _ = _egk_absolute(psi, k, config, "auto", pmap)
-            good = abs(value - 0.5) <= 1e-9
-            ok = ok and good
-            if not good:
-                lines.append(f"ghz{n} K={k}: {fmt(value)} [MISMATCH]")
+    cases = [(n, k) for n in range(2, 9) for k in range(2, n + 1)]
+    absolute = pmap(egk_absolute, [ghz(n) for n, _ in cases], [k for _, k in cases],
+                    repeat(config))
+    for (n, k), (value, _) in zip(cases, absolute):
+        good = abs(value - 0.5) <= 1e-9
+        ok = ok and good
+        if not good:
+            lines.append(f"ghz{n} K={k}: {fmt(value)} [MISMATCH]")
     lines.append("ghz N=2..8, all K: absolute E within 1e-9 of 1/2"
                  if ok else "ghz rows above mismatched")
     return [CheckResult("6", "full-separability", ok, tuple(lines))]
@@ -457,28 +455,22 @@ def _paper_family_states():
     return families
 
 
-def _check_monotonicity(config, pmap, n_states):
-    lines = []
-    ok = True
+def _check_monotonicity(config, pmap):
     random_config = replace(config, restarts=max(8, config.restarts // 4))
-    per_size = n_states // 2
-    count = 0
-    for n, how_many in ((4, per_size), (5, n_states - per_size)):
-        for i in range(how_many):
-            psi = random_state(n, np.random.SeedSequence([config.seed, n, i]))
-            report = _full_hierarchy(psi, random_config, "auto", pmap)
-            if not report.monotonic:
-                ok = False
-                lines.append(f"random n={n} index={i}: violations {report.violations}")
-            count += 1
-    lines.append(f"random states checked: {count}")
+    per_size = _MONOTONICITY_STATES // 2
+    randoms = [(n, i) for n, how_many in ((4, per_size), (5, _MONOTONICITY_STATES - per_size))
+               for i in range(how_many)]
     families = _paper_family_states()
-    for name, psi in families:
-        report = _full_hierarchy(psi, config, "auto", pmap)
-        if not report.monotonic:
-            ok = False
-            lines.append(f"family {name}: violations {report.violations}")
+    states = [random_state(n, np.random.SeedSequence([config.seed, n, i])) for n, i in randoms]
+    configs = [random_config] * len(randoms) + [config] * len(families)
+    hierarchies = list(pmap(full_hierarchy, states + [psi for _, psi in families], configs))
+    lines = [f"random n={n} index={i}: violations {r.violations}"
+             for (n, i), r in zip(randoms, hierarchies) if not r.monotonic]
+    lines.append(f"random states checked: {len(randoms)}")
+    lines += [f"family {name}: violations {r.violations}"
+              for (name, _), r in zip(families, hierarchies[len(randoms):]) if not r.monotonic]
     lines.append("family states checked: %d" % len(families))
+    ok = all(r.monotonic for r in hierarchies)
     return [CheckResult("7", "monotonicity", ok, tuple(lines))]
 
 
@@ -507,7 +499,7 @@ def _scale_reference(family, shape, eta):
     return closedform.wghz_bisep_reduced(eta, m1, m2).e_g
 
 
-def _check_scale(config):
+def _check_scale(config, pmap):
     lines = []
     ok = True
     for family, sizes, l, eta, exact in _SCALE_CASES:
@@ -541,7 +533,7 @@ def _check_scale(config):
     return [CheckResult("8", "scale-invariance", ok, tuple(lines))]
 
 
-def _check_figures(config):
+def _check_figures(config, pmap):
     lines = []
     ok = True
     target = float(closedform.w_full_separable(3).e_g)
@@ -575,7 +567,7 @@ def _check_figures(config):
     return [CheckResult("9", "figure-curves", ok, tuple(lines))]
 
 
-def _check_oracle(config):
+def _check_oracle(config, pmap):
     # 1|2,3 is solved by an SVD; 1|2|3 keeps the multistart ascent under test.
     states = [random_state(3, np.random.SeedSequence([config.seed, 3, 0xA11, i]))
               for i in range(20)]
@@ -610,7 +602,7 @@ def _hypersphere_point(deltas) -> np.ndarray:
     return np.concatenate([np.cos(deltas), ones], -1) * np.concatenate([ones, sines], -1)
 
 
-def _check_lemmas(config):
+def _check_lemmas(config, pmap):
     lines = []
     ok = True
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xCA5]))
@@ -642,24 +634,24 @@ def _check_lemmas(config):
 
 
 _SUITES = {
-    "tables": lambda cfg, kw: _check_tables(cfg, kw["numeric_tol"]),
-    "fullsep": lambda cfg, kw: _check_fullsep(cfg, kw["pmap"]),
-    "monotonicity": lambda cfg, kw: _check_monotonicity(cfg, kw["pmap"], kw["monotonicity_states"]),
-    "scale": lambda cfg, kw: _check_scale(cfg),
-    "figures": lambda cfg, kw: _check_figures(cfg),
-    "oracle": lambda cfg, kw: _check_oracle(cfg),
-    "lemmas": lambda cfg, kw: _check_lemmas(cfg),
+    "tables": _check_tables,
+    "fullsep": _check_fullsep,
+    "monotonicity": _check_monotonicity,
+    "scale": _check_scale,
+    "figures": _check_figures,
+    "oracle": _check_oracle,
+    "lemmas": _check_lemmas,
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_verify(config: OptimizerConfig | None = None, *, suites=None, workers: int = 1,
-               monotonicity_states: int = 200, numeric_tol: float | None = None) -> VerifyReport:
+def run_verify(config: OptimizerConfig | None = None, *, suites=None,
+               workers: int = 1) -> VerifyReport:
     """Run the verification suites and collect per-criterion results.
 
-    ``numeric_tol`` overrides the per-row tolerance of the table comparisons
-    (a deliberately breakable knob for negative-control testing).
+    One pool of ``workers`` processes serves every suite: the full-separability
+    suite maps its GHZ (N, K) cases over it, the monotonicity suite its states.
     """
     config = config or OptimizerConfig()
     chosen = list(suites) if suites else list(SUITE_NAMES)
@@ -668,10 +660,8 @@ def run_verify(config: OptimizerConfig | None = None, *, suites=None, workers: i
             raise DomainError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     results = []
     with _process_map(workers) as pmap:
-        kwargs = {"pmap": pmap, "monotonicity_states": monotonicity_states,
-                  "numeric_tol": numeric_tol}
         for name in chosen:
-            results.extend(_SUITES[name](config, kwargs))
+            results.extend(_SUITES[name](config, pmap))
     return VerifyReport(seed=config.seed, results=tuple(results))
 
 

@@ -8,7 +8,6 @@ so J = 0 is |00...0> and J = 2^N - 1 is |11...1>.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from math import comb
 from itertools import combinations
@@ -18,6 +17,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, ShapeMismatchError
 
 NORM_TOL = 1e-12
+MAX_QUBITS = 20  # the dense-representation cap
 
 _FAMILIES = (
     "ghz",
@@ -33,18 +33,11 @@ _FAMILIES = (
 )
 
 
-def max_qubits() -> int:
-    """Dense-representation cap; override with the GEOENT_MAX_QUBITS env var."""
-    return int(os.environ.get("GEOENT_MAX_QUBITS", "20"))
-
-
 def _check_num_qubits(n):
     if n < 1:
         raise DomainError(f"need at least one qubit, got n={n}")
-    if n > max_qubits():
-        raise DomainError(
-            f"n={n} exceeds the dense-representation cap of {max_qubits()} qubits"
-        )
+    if n > MAX_QUBITS:
+        raise DomainError(f"n={n} exceeds the dense-representation cap of {MAX_QUBITS} qubits")
 
 
 @dataclass(frozen=True, eq=False)

@@ -179,7 +179,7 @@ def test_criterion_06_full_separability(config):
 
 def test_criterion_07_monotonicity(config):
     t0 = time.monotonic()
-    report = run_verify(config, suites=["monotonicity"], monotonicity_states=200)
+    report = run_verify(config, suites=["monotonicity"])
     elapsed = time.monotonic() - t0
     record(7, report.passed,
            f"200 random 4/5-qubit states + families N<=6, runtime {elapsed:.1f}s")

@@ -188,6 +188,18 @@ class TestWorkersFlag:
     def test_accepted_where_partitions_are_scanned(self, argv):
         assert cli.build_parser().parse_args(argv + ["--workers", "2"]).workers == 2
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    @pytest.mark.parametrize("argv", [["hierarchy"], ["egk", "--k", "2"],
+                                      ["verify", "--suite", "lemmas"]])
+    def test_bad_count_is_a_usage_error(self, argv, workers, tmp_path, capsys):
+        state = tmp_path / "s.json"
+        assert run("state", "--family", "w", "--n", 3, "-o", state) == 0
+        if argv[0] != "verify":
+            argv = [argv[0], state, *argv[1:]]
+        assert run(*argv, "--workers", workers, "-o", tmp_path / "out") == USAGE_ERROR
+        assert "workers must be an int >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self):
@@ -232,11 +244,21 @@ class TestVerifyCommand:
         assert "[PASS] criterion-11" in text
         assert "overall: PASS" in text
 
-    def test_negative_control_tampered_tolerance(self, tmp_path):
+    def test_negative_control_tampered_reference(self, tmp_path, monkeypatch):
+        # w4's 1|3 reference moved from 1/4 to 0.26: that row, and only it, fails.
+        rows = list(reports._TABLE_ROWS["w4"])
+        rows[3] = replace(rows[3], reference=0.26)
+        monkeypatch.setitem(reports._TABLE_ROWS, "w4", rows)
         out = tmp_path / "v.txt"
-        code = run("verify", "--suite", "tables", "--numeric-tol", "1e-15", "-o", out)
-        assert code == 1
-        assert "MISMATCH" in out.read_text()
+        assert run("verify", "--suite", "tables", "-o", out) == 1
+        mismatched = [line for line in out.read_text().splitlines() if "MISMATCH" in line]
+        assert len(mismatched) == 1 and mismatched[0].lstrip().startswith("w4 K=2 1|3:")
+
+    @pytest.mark.parametrize("flag", ["--numeric-tol", "--monotonicity-states"])
+    def test_deleted_flags_rejected(self, flag):
+        with pytest.raises(SystemExit) as err:
+            run("verify", "--suite", "lemmas", flag, "1")
+        assert err.value.code == USAGE_ERROR
 
     @pytest.mark.parametrize("side", ["base_e", "scaled_e"])
     @pytest.mark.parametrize("case", range(6))
@@ -258,11 +280,3 @@ class TestVerifyCommand:
         assert run("verify", "--suite", "oracle", "--seed", 7, "-o", a) == 0
         assert run("verify", "--suite", "oracle", "--seed", 7, "-o", b) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_seed_env_default(self, tmp_path, monkeypatch):
-        env_run, flag_run = tmp_path / "env.txt", tmp_path / "flag.txt"
-        monkeypatch.setenv("GEOENT_SEED", "11")
-        assert run("verify", "--suite", "oracle", "-o", env_run) == 0
-        monkeypatch.delenv("GEOENT_SEED")
-        assert run("verify", "--suite", "oracle", "--seed", 11, "-o", flag_run) == 0
-        assert env_run.read_bytes() == flag_run.read_bytes()

@@ -104,28 +104,59 @@ class TestAbsolute:
             parallel = ge.egk_absolute(psi, k, fast_config, workers=2)
             assert serial == parallel
 
-    def test_one_pool_per_public_call(self, monkeypatch, fast_config):
-        # A fresh pool per level made --workers 2 slower than one worker.
+    @staticmethod
+    def _count_pools(monkeypatch):
+        """Record each process pool opened, each call of its ``map`` and each shutdown."""
         from geoent import hierarchy as hmod
 
-        opened, closed = [], []
+        opened, maps, closed = [], [], []
 
         class Counted(hmod.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 opened.append(self)
                 super().__init__(*args, **kwargs)
 
+            def map(self, *args, **kwargs):
+                maps.append(self)
+                return super().map(*args, **kwargs)
+
             def shutdown(self, *args, **kwargs):
                 closed.append(self)
                 super().shutdown(*args, **kwargs)
 
         monkeypatch.setattr(hmod, "ProcessPoolExecutor", Counted)
+        return opened, maps, closed
+
+    def test_one_pool_and_one_map_per_hierarchy(self, monkeypatch, fast_config):
+        # Every level's batches go out in one map over one pool.
+        opened, maps, closed = self._count_pools(monkeypatch)
         psi = ge.random_state(5, 40)  # two shapes at K = 2 and at K = 3
         assert ge.full_hierarchy(psi, fast_config, workers=2) == ge.full_hierarchy(psi, fast_config)
-        assert len(opened) == 1
+        assert len(opened) == 1 and maps == opened
         report = reports.run_verify(fast_config, suites=["fullsep"], workers=2)
         assert report.passed and len(opened) == 2
         assert closed == opened
+
+    def test_monotonicity_suite_maps_states_over_verify_pool(self, monkeypatch, fast_config):
+        # The suite's hierarchies run with one worker inside verify's one pool.
+        opened, maps, closed = self._count_pools(monkeypatch)
+        monkeypatch.setattr(reports, "_MONOTONICITY_STATES", 4)
+        report = reports.run_verify(fast_config, suites=["monotonicity"], workers=2)
+        assert report.passed and "random states checked: 4" in report.results[0].lines
+        assert len(opened) == 1 and maps == opened and closed == opened
+
+    @pytest.mark.parametrize("workers", [0, -5, True, 2.0, "2", None])
+    def test_bad_workers_rejected(self, workers, fast_config):
+        psi = ge.random_state(4, 40)
+        with pytest.raises(DomainError, match="workers"):
+            ge.full_hierarchy(psi, fast_config, workers=workers)
+        with pytest.raises(DomainError, match="workers"):
+            reports.run_verify(fast_config, suites=["lemmas"], workers=workers)
+
+    def test_bad_workers_rejected_on_one_batch_scan(self, fast_config):
+        # K = N has one shape, so the scan needs no pool; workers is still checked.
+        with pytest.raises(DomainError, match="workers"):
+            ge.egk_absolute(ge.ghz(4), 4, fast_config, workers=0)
 
 
 class TestFullHierarchy:
