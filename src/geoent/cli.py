@@ -27,6 +27,13 @@ CAP_ERROR = 3
 NUMERIC_ERROR = 4
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"workers must be an int >= 1, got {count}")
+    return count
+
+
 def _add_optimizer_flags(parser, workers=False):
     parser.add_argument("--restarts", type=int, default=64,
                         help="starts of the K >= 3 ascent per partition (default: 64)")
@@ -37,7 +44,7 @@ def _add_optimizer_flags(parser, workers=False):
     parser.add_argument("--seed", type=int, default=0,
                         help="random seed (default: 0)")
     if workers:
-        parser.add_argument("--workers", type=int, default=1,
+        parser.add_argument("--workers", type=_worker_count, default=1,
                             help="worker processes, an int >= 1 (default: 1): egk and "
                                  "hierarchy map a scan's shape batches over them, verify "
                                  "its independent states and cases")
@@ -65,15 +72,8 @@ def _parse_floats(text):
 
 
 def cmd_state(args) -> int:
-    kwargs = {"family": args.family}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.k is not None:
-        kwargs["k"] = args.k
-    if args.eta is not None:
-        kwargs["eta"] = args.eta
-    if args.phi is not None:
-        kwargs["phi"] = args.phi
+    kwargs = {key: getattr(args, key) for key in ("family", "n", "k", "eta", "phi")
+              if getattr(args, key) is not None}
     if args.gamma is not None:
         kwargs["gamma"] = _parse_floats(args.gamma)
     if args.xi is not None:

@@ -64,9 +64,10 @@ def _relative_values(psi, partitions, config, workers) -> dict:
     for p in partitions:
         batches.setdefault(p.shape, []).append(p)
     with _process_map(workers, len(batches)) as pmap:
-        results = list(pmap(best_overlaps, [[psi] * len(b) for b in batches.values()],
-                            batches.values(), repeat(config)))
-    e_g = {p: r.e_g for batch, rs in zip(batches.values(), results) for p, r in zip(batch, rs)}
+        # Consumed lazily: each batch's results are dropped once read.
+        results = pmap(best_overlaps, [[psi] * len(b) for b in batches.values()],
+                       batches.values(), repeat(config))
+        e_g = {p: r.e_g for batch, rs in zip(batches.values(), results) for p, r in zip(batch, rs)}
     return {p: e_g[p] for p in partitions}
 
 

@@ -190,13 +190,16 @@ class TestWorkersFlag:
 
     @pytest.mark.parametrize("workers", [0, -5])
     @pytest.mark.parametrize("argv", [["hierarchy"], ["egk", "--k", "2"],
+                                      ["egk", "--k", "2", "--partition", "1|2,3"],
                                       ["verify", "--suite", "lemmas"]])
     def test_bad_count_is_a_usage_error(self, argv, workers, tmp_path, capsys):
         state = tmp_path / "s.json"
         assert run("state", "--family", "w", "--n", 3, "-o", state) == 0
         if argv[0] != "verify":
             argv = [argv[0], state, *argv[1:]]
-        assert run(*argv, "--workers", workers, "-o", tmp_path / "out") == USAGE_ERROR
+        with pytest.raises(SystemExit) as err:
+            run(*argv, "--workers", workers, "-o", tmp_path / "out")
+        assert err.value.code == USAGE_ERROR
         assert "workers must be an int >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
