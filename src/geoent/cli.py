@@ -72,8 +72,15 @@ def _parse_floats(text):
 
 
 def cmd_state(args) -> int:
-    kwargs = {key: getattr(args, key) for key in ("family", "n", "k", "eta", "phi")
-              if getattr(args, key) is not None}
+    kwargs = {"family": args.family}
+    if args.n is not None:
+        kwargs["n"] = args.n
+    if args.k is not None:
+        kwargs["k"] = args.k
+    if args.eta is not None:
+        kwargs["eta"] = args.eta
+    if args.phi is not None:
+        kwargs["phi"] = args.phi
     if args.gamma is not None:
         kwargs["gamma"] = _parse_floats(args.gamma)
     if args.xi is not None:
