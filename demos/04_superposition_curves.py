@@ -41,8 +41,7 @@ print("\nW + flipped-W, E^(3) at eta = 0, pi/4, pi/2:",
 print("\nE^(2)(1|N-1) of cos(eta) W + sin(eta) GHZ:")
 print("eta/pi    N=4       N=8       N=50")
 grid = np.linspace(0.0, np.pi / 2, 7)
-curves = {n: dict(zip(grid, (e for _, e in ge.sweep_eta("wghz", grid, config,
-                                                        m1=1, n=n))))
+curves = {n: {eta: ge.wghz_bisep_reduced(eta, 1, n - 1).e_g for eta in grid}
           for n in (4, 8, 50)}
 for eta in grid:
     print(f"{eta / np.pi:6.3f}  " + "  ".join(

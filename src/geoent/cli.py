@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 size cap,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -129,16 +131,12 @@ def cmd_egk(args) -> int:
     if args.format == "json":
         _write_output(json.dumps(record, indent=2) + "\n", args.output)
     elif args.format == "csv":
-        keys = list(record)
-        values = [
-            fmt(record[key]) if isinstance(record[key], float)
-            else json.dumps(record[key]) if isinstance(record[key], list)
-            else str(record[key])
-            for key in keys
-        ]
-        _write_output(",".join(keys) + "\n" + ",".join(f'"{v}"' if "," in v else v
-                                                       for v in values) + "\n",
-                      args.output)
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(record)
+        writer.writerow(fmt(v) if isinstance(v, float) else json.dumps(v) if isinstance(v, list)
+                        else v for v in record.values())
+        _write_output(out.getvalue(), args.output)
     else:
         _write_output(text_line + "\n", args.output)
     return 0

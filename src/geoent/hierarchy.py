@@ -1,13 +1,14 @@
 """Absolute K-separability measures, full hierarchies, and structural checks.
 
 The absolute measure at a given K is the minimum of the relative measure
-over K-block partitions. Symmetric states (invariant under every qubit
-transposition) need only one representative partition per block-size shape;
-asymmetric states are scanned over all set partitions, within size caps.
-Every scanned partition is an independent distance problem: a public call
-gathers them all, runs one ``best_overlaps`` batch per shape, and maps the
-batches over ``workers`` processes. A full hierarchy is then made monotone
-in K by construction (see ``full_hierarchy``).
+over K-block partitions. ``_scan`` holds the scan policy of every caller:
+symmetric states (invariant under every qubit transposition) need only one
+representative partition per block-size shape; asymmetric states are
+scanned over all set partitions, within size caps. Every scanned partition
+is an independent distance problem: a scan gathers them all, runs one
+``best_overlaps`` batch per shape, and maps the batches over ``workers``
+processes. A full hierarchy is then made monotone in K by construction (see
+``full_hierarchy``); the reference tables of ``reports`` are plain scans.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from itertools import combinations, repeat
 
 import numpy as np
 
-from . import closedform
 from .errors import DomainError, ResourceCapError
 from .optimizer import OptimizerConfig, best_overlap, best_overlaps
 from .partitions import Partition, Shape, representative_partition, set_partitions, shapes
@@ -32,13 +32,13 @@ MAX_FULL_SCAN = 8
 MAX_SHAPE_SCAN = 14
 
 
-def is_symmetric(psi: PureState, tol: float = SYMMETRY_TOL) -> bool:
+def is_symmetric(psi: PureState) -> bool:
     """True iff the state is invariant under every adjacent qubit transposition."""
     n = psi.num_qubits
     for q in range(1, n):
         sigma = list(range(1, n + 1))
         sigma[q - 1], sigma[q] = sigma[q], sigma[q - 1]
-        if not psi.allclose(permute_qubits(psi, sigma), tol):
+        if not psi.allclose(permute_qubits(psi, sigma), SYMMETRY_TOL):
             return False
     return True
 
@@ -136,6 +136,18 @@ def _scanned_partitions(n, k, scan_mode) -> list:
     return sorted(set_partitions(n, k), key=lambda p: p.sort_key())
 
 
+def _scan(psi, ks, config, scan, workers):
+    """The scan policy: (symmetric, scan mode, {K: {partition: E}}) for each
+    K of ``ks``, with every level's partitions in one ``_relative_values`` call."""
+    n = psi.num_qubits
+    symmetric = is_symmetric(psi)
+    scan_mode = _resolve_scan(n, scan, symmetric)
+    levels = {k: _scanned_partitions(n, k, scan_mode) for k in ks}
+    scanned = _relative_values(psi, [p for ps in levels.values() for p in ps],
+                               config or OptimizerConfig(), workers)
+    return symmetric, scan_mode, {k: {p: scanned[p] for p in ps} for k, ps in levels.items()}
+
+
 def _entry(k, values, scan_mode) -> KEntry:
     minimum = min(values.values())
     argmin = tuple(p for p, v in values.items() if v <= minimum + DEGENERACY_TOL)
@@ -153,10 +165,8 @@ def egk_absolute(psi: PureState, k: int, config: OptimizerConfig | None = None,
     n = psi.num_qubits
     if not 2 <= k <= n:
         raise DomainError(f"need 2 <= K <= N, got K={k}, N={n}")
-    scan_mode = _resolve_scan(n, scan, scan == "auto" and is_symmetric(psi))
-    values = _relative_values(psi, _scanned_partitions(n, k, scan_mode),
-                              config or OptimizerConfig(), workers)
-    entry = _entry(k, values, scan_mode)
+    _, scan_mode, levels = _scan(psi, (k,), config, scan, workers)
+    entry = _entry(k, levels[k], scan_mode)
     return entry.absolute_e, list(entry.argmin_partitions)
 
 
@@ -164,8 +174,8 @@ def full_hierarchy(psi: PureState, config: OptimizerConfig | None = None,
                    scan: str = "auto", workers: int = 1) -> HierarchyReport:
     """Absolute measures for K = 2..N, monotone in K by construction.
 
-    The partitions of every level are scanned in one ``_relative_values``
-    call, so ``workers`` processes share all of the hierarchy's batches.
+    The partitions of every level are scanned in one ``_scan``, so
+    ``workers`` processes share all of the hierarchy's batches.
     Then, from K = N down: merging two blocks of the product state that
     realizes a level-K argmin P keeps its overlap, so each coarsening P' that
     level K-1 scans takes min(E(P'), E(P)). A full scan holds every P'; a
@@ -174,14 +184,9 @@ def full_hierarchy(psi: PureState, config: OptimizerConfig | None = None,
     lists each K whose (K-1)-scan minimum exceeded E^(K) by MONOTONICITY_TOL.
     """
     n = psi.num_qubits
-    symmetric = is_symmetric(psi)
-    scan_mode = _resolve_scan(n, scan, symmetric)
-    levels = {k: _scanned_partitions(n, k, scan_mode) for k in range(n, 1, -1)}
-    scanned = _relative_values(psi, [p for ps in levels.values() for p in ps],
-                               config or OptimizerConfig(), workers)
+    symmetric, scan_mode, levels = _scan(psi, range(n, 1, -1), config, scan, workers)
     entries, scan_min, above = {}, {}, {}
-    for k, partitions in levels.items():
-        values = {p: scanned[p] for p in partitions}
+    for k, values in levels.items():
         scan_min[k] = min(values.values())
         # The coarsening witness: merge two blocks of each level-(K+1) argmin.
         for p in entries[k + 1].argmin_partitions if k < n else ():
@@ -264,36 +269,29 @@ def scale_invariance_check(family: str, shape: Shape, l: int,
 
 
 def sweep_eta(family: str, etas, config: OptimizerConfig | None = None, *,
-              phi=0.0, k: int = 3, m1: int = 1, n: int = 3):
-    """(eta, E) pairs along a mixing-angle grid for the superposition families.
-
-    family 'w_w_tilde' / 'w_ghz3': 3-qubit superpositions with relative phase
-    ``phi``, one angle or one per eta; ``k`` selects E^(2) (bipartition 1|2)
-    or E^(3) (full separability), computed as one ``best_overlaps`` batch.
-    family 'wghz': E^(2)(m1 | n-m1) of the real N-qubit superposition via its
-    closed form (an at most 3x3 SVD).
+              phi=0.0, k: int = 3):
+    """(eta, E) pairs along a mixing-angle grid for the 3-qubit superposition
+    families 'w_w_tilde' and 'w_ghz3', with relative phase ``phi``, one angle
+    or one per eta; ``k`` selects E^(2) (bipartition 1|2) or E^(3) (full
+    separability), computed as one ``best_overlaps`` batch.
     """
+    if family not in ("w_w_tilde", "w_ghz3"):
+        raise DomainError(f"unknown sweep family {family!r}")
     config = config or OptimizerConfig()
     etas = [float(e) for e in etas]
-    if family in ("w_w_tilde", "w_ghz3"):
-        other = w_tilde3() if family == "w_w_tilde" else ghz(3)
-        if k == 3:
-            partition = Partition(((1,), (2,), (3,)))
-        elif k == 2:
-            partition = Partition(((1,), (2, 3)))
-        else:
-            raise DomainError("three-qubit sweeps support k = 2 or 3")
-        phis = np.asarray(phi, dtype=np.float64)
-        if phis.ndim == 0:
-            phis = np.full(len(etas), phis)
-        elif phis.shape != (len(etas),):
-            raise DomainError(f"need one phi or {len(etas)} of them, got shape {phis.shape}")
-        states = [superpose(np.cos(eta), w(3), np.sin(eta), p, other)
-                  for eta, p in zip(etas, phis)]
-        results = best_overlaps(states, [partition] * len(states), config)
-        return [(eta, r.e_g) for eta, r in zip(etas, results)]
-    if family == "wghz":
-        if not 1 <= m1 <= n - 1:
-            raise DomainError(f"need 1 <= m1 < n, got m1={m1}, n={n}")
-        return [(eta, closedform.wghz_bisep_reduced(eta, m1, n - m1).e_g) for eta in etas]
-    raise DomainError(f"unknown sweep family {family!r}")
+    other = w_tilde3() if family == "w_w_tilde" else ghz(3)
+    if k == 3:
+        partition = Partition(((1,), (2,), (3,)))
+    elif k == 2:
+        partition = Partition(((1,), (2, 3)))
+    else:
+        raise DomainError("three-qubit sweeps support k = 2 or 3")
+    phis = np.asarray(phi, dtype=np.float64)
+    if phis.ndim == 0:
+        phis = np.full(len(etas), phis)
+    elif phis.shape != (len(etas),):
+        raise DomainError(f"need one phi or {len(etas)} of them, got shape {phis.shape}")
+    states = [superpose(np.cos(eta), w(3), np.sin(eta), p, other)
+              for eta, p in zip(etas, phis)]
+    results = best_overlaps(states, [partition] * len(states), config)
+    return [(eta, r.e_g) for eta, r in zip(etas, results)]

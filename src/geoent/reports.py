@@ -2,7 +2,9 @@
 
 The five reference tables pin the measures of the 4-qubit GHZ/W pair, the
 5- and 6-qubit W states, the 4-qubit cluster state, and the 4-qubit
-two-excitation state. Exact rows carry rationals; rows only known to three
+two-excitation state. Each table lists every shape of each of its states,
+so a state's rows come from one hierarchy scan, next to the state's one
+closed-form rule. Exact rows carry rationals; rows only known to three
 decimals are checked at 5e-4. The verification suite compares the numeric
 optimizer against every closed form and reference value and exercises the
 structural laws (monotonicity, scale invariance, phase independence).
@@ -23,15 +25,14 @@ from .errors import DomainError, ShapeMismatchError
 from .hierarchy import (
     DEGENERACY_TOL,
     _process_map,
-    _relative_values,
+    _scan,
     egk_absolute,
     full_hierarchy,
-    is_symmetric,
     scale_invariance_check,
     sweep_eta,
 )
 from .optimizer import OptimizerConfig, best_overlap, qubit_block_interval
-from .partitions import Partition, Shape, representative_partition, set_partitions
+from .partitions import Partition, Shape, representative_partition
 from .states import (
     asym_w,
     cluster4,
@@ -56,15 +57,6 @@ def fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # reference tables
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RowSpec:
-    k: int
-    shape: tuple[int, ...]
-    closed: str | None          # closedform route tag, resolved in _closed_value
-    reference: Fraction | float
-    tolerance: float
-
 
 @dataclass(frozen=True)
 class TableRow:
@@ -95,115 +87,102 @@ def _row_label(row: TableRow) -> str:
     return f"{row.state} K={row.k} {row.shape.text}"
 
 
-_TABLE_STATES = {
-    "I": [("ghz4", lambda: ghz(4)), ("w4", lambda: w(4))],
-    "II": [("w5", lambda: w(5))],
-    "III": [("w6", lambda: w(6))],
-    "IV": [("cluster4", cluster4)],
-    "V": [("magnon4_2", lambda: magnon(4, 2))],
+def _w_closed(shape: Shape):
+    """W's closed form on a shape: full separability at K = N, else the
+    bi-, tri- or K-separable form."""
+    if shape.k == shape.n:
+        return closedform.w_full_separable(shape.n)
+    if shape.k == 2:
+        return closedform.w_bisep(shape.sizes[0], shape.n)
+    if shape.k == 3:
+        return closedform.w_trisep(*shape.sizes)
+    return closedform.w_ksep_reduced(shape)
+
+
+# Per table, each state as (name, builder, closed form of a Shape or None,
+# rows of (block sizes, reference)); a Fraction reference is exact, a float
+# one is printed to three decimals. Every row lists one shape of its state.
+_TABLES = {
+    "I": [
+        ("ghz4", lambda: ghz(4), lambda s: closedform.ghz_egk(s.n, s.k), [
+            ((1, 1, 1, 1), Fraction(1, 2)),
+            ((1, 1, 2), Fraction(1, 2)),
+            ((2, 2), Fraction(1, 2)),
+            ((1, 3), Fraction(1, 2)),
+        ]),
+        ("w4", lambda: w(4), _w_closed, [
+            ((1, 1, 1, 1), Fraction(37, 64)),
+            ((1, 1, 2), Fraction(1, 2)),
+            ((2, 2), Fraction(1, 2)),
+            ((1, 3), Fraction(1, 4)),
+        ]),
+    ],
+    "II": [
+        ("w5", lambda: w(5), _w_closed, [
+            ((1, 1, 1, 1, 1), 0.590),
+            ((1, 1, 1, 2), 0.559),
+            ((1, 2, 2), Fraction(19, 35)),
+            ((1, 1, 3), Fraction(2, 5)),
+            ((2, 3), Fraction(2, 5)),
+            ((1, 4), Fraction(1, 5)),
+        ]),
+    ],
+    "III": [
+        ("w6", lambda: w(6), _w_closed, [
+            ((1, 1, 1, 1, 1, 1), 0.598),
+            ((1, 1, 1, 1, 2), 0.580),
+            ((1, 1, 2, 2), 0.567),
+            ((2, 2, 2), Fraction(5, 9)),
+            ((1, 1, 1, 3), Fraction(1, 2)),
+            ((1, 2, 3), Fraction(1, 2)),
+            ((3, 3), Fraction(1, 2)),
+            ((1, 1, 4), Fraction(1, 3)),
+            ((2, 4), Fraction(1, 3)),
+            ((1, 5), Fraction(1, 6)),
+        ]),
+    ],
+    "IV": [
+        ("cluster4", cluster4, None, [
+            ((1, 1, 1, 1), Fraction(3, 4)),
+            ((1, 1, 2), Fraction(1, 2)),
+            ((2, 2), Fraction(1, 2)),
+            ((1, 3), Fraction(1, 2)),
+        ]),
+    ],
+    "V": [
+        ("magnon4_2", lambda: magnon(4, 2),
+         lambda s: closedform.magnon2_bisep(s.sizes[0], s.n) if s.k == 2 else None, [
+             ((1, 1, 1, 1), 0.625),
+             ((1, 1, 2), 0.583),
+             ((2, 2), Fraction(1, 3)),
+             ((1, 3), Fraction(1, 2)),
+         ]),
+    ],
 }
-
-_GHZ4_ROWS = [
-    RowSpec(4, (1, 1, 1, 1), "ghz", Fraction(1, 2), EXACT_TOL),
-    RowSpec(3, (1, 1, 2), "ghz", Fraction(1, 2), EXACT_TOL),
-    RowSpec(2, (2, 2), "ghz", Fraction(1, 2), EXACT_TOL),
-    RowSpec(2, (1, 3), "ghz", Fraction(1, 2), EXACT_TOL),
-]
-
-_TABLE_ROWS = {
-    "ghz4": _GHZ4_ROWS,
-    "w4": [
-        RowSpec(4, (1, 1, 1, 1), "w_fullsep", Fraction(37, 64), EXACT_TOL),
-        RowSpec(3, (1, 1, 2), "w_trisep", Fraction(1, 2), EXACT_TOL),
-        RowSpec(2, (2, 2), "w_bisep", Fraction(1, 2), EXACT_TOL),
-        RowSpec(2, (1, 3), "w_bisep", Fraction(1, 4), EXACT_TOL),
-    ],
-    "w5": [
-        RowSpec(5, (1, 1, 1, 1, 1), "w_fullsep", 0.590, PRINTED_TOL),
-        RowSpec(4, (1, 1, 1, 2), "w_ksep", 0.559, PRINTED_TOL),
-        RowSpec(3, (1, 2, 2), "w_trisep", Fraction(19, 35), EXACT_TOL),
-        RowSpec(3, (1, 1, 3), "w_trisep", Fraction(2, 5), EXACT_TOL),
-        RowSpec(2, (2, 3), "w_bisep", Fraction(2, 5), EXACT_TOL),
-        RowSpec(2, (1, 4), "w_bisep", Fraction(1, 5), EXACT_TOL),
-    ],
-    "w6": [
-        RowSpec(6, (1, 1, 1, 1, 1, 1), "w_fullsep", 0.598, PRINTED_TOL),
-        RowSpec(5, (1, 1, 1, 1, 2), "w_ksep", 0.580, PRINTED_TOL),
-        RowSpec(4, (1, 1, 2, 2), "w_ksep", 0.567, PRINTED_TOL),
-        RowSpec(3, (2, 2, 2), "w_trisep", Fraction(5, 9), EXACT_TOL),
-        RowSpec(4, (1, 1, 1, 3), "w_ksep", Fraction(1, 2), EXACT_TOL),
-        RowSpec(3, (1, 2, 3), "w_trisep", Fraction(1, 2), EXACT_TOL),
-        RowSpec(2, (3, 3), "w_bisep", Fraction(1, 2), EXACT_TOL),
-        RowSpec(3, (1, 1, 4), "w_trisep", Fraction(1, 3), EXACT_TOL),
-        RowSpec(2, (2, 4), "w_bisep", Fraction(1, 3), EXACT_TOL),
-        RowSpec(2, (1, 5), "w_bisep", Fraction(1, 6), EXACT_TOL),
-    ],
-    "cluster4": [
-        RowSpec(4, (1, 1, 1, 1), None, Fraction(3, 4), EXACT_TOL),
-        RowSpec(3, (1, 1, 2), None, Fraction(1, 2), EXACT_TOL),
-        RowSpec(2, (2, 2), None, Fraction(1, 2), EXACT_TOL),
-        RowSpec(2, (1, 3), None, Fraction(1, 2), EXACT_TOL),
-    ],
-    "magnon4_2": [
-        RowSpec(4, (1, 1, 1, 1), None, 0.625, PRINTED_TOL),
-        RowSpec(3, (1, 1, 2), None, 0.583, PRINTED_TOL),
-        RowSpec(2, (2, 2), "magnon2", Fraction(1, 3), EXACT_TOL),
-        RowSpec(2, (1, 3), "magnon2", Fraction(1, 2), EXACT_TOL),
-    ],
-}
-
-
-def _closed_value(route: str | None, shape: Shape):
-    """Resolve a row's closed-form route to (exact Fraction or None, float or None)."""
-    if route is None:
-        return None, None
-    if route == "ghz":
-        value = closedform.ghz_egk(shape.n, shape.k)
-    elif route == "w_fullsep":
-        value = closedform.w_full_separable(shape.n)
-    elif route == "w_bisep":
-        value = closedform.w_bisep(shape.sizes[0], shape.n)
-    elif route == "w_trisep":
-        value = closedform.w_trisep(*shape.sizes)
-    elif route == "w_ksep":
-        value = closedform.w_ksep_reduced(shape)
-    elif route == "magnon2":
-        value = closedform.magnon2_bisep(shape.sizes[0], shape.n)
-    else:
-        raise DomainError(f"unknown closed-form route {route!r}")
-    return value.exact, value.e_g
-
-
-def _shape_numeric(psi, shape: Shape, config, symmetric: bool) -> float:
-    """Numeric value for a table row: relative on one representative partition
-    for symmetric states, else the minimum over all partitions of the shape."""
-    partitions = ([representative_partition(shape)] if symmetric
-                  else [p for p in set_partitions(shape.n, shape.k) if p.shape == shape])
-    return min(_relative_values(psi, partitions, config, 1).values())
 
 
 def compute_table(table: str, config: OptimizerConfig | None = None) -> TableResult:
-    """Compute one reference table: closed forms next to the numeric optimizer."""
-    if table not in _TABLE_STATES:
+    """Compute one reference table: closed forms next to the numeric optimizer.
+    Each state is one hierarchy scan; a row's value is the minimum over the
+    scanned partitions of its shape."""
+    if table not in _TABLES:
         raise DomainError(f"unknown table {table!r}; choose from I, II, III, IV, V")
-    config = config or OptimizerConfig()
     rows = []
-    for state_name, build in _TABLE_STATES[table]:
+    for state_name, build, closed_form, specs in _TABLES[table]:
         psi = build()
-        symmetric = is_symmetric(psi)
-        for spec in _TABLE_ROWS[state_name]:
-            shape = Shape(spec.shape)
-            exact, closed = _closed_value(spec.closed, shape)
-            numeric = _shape_numeric(psi, shape, config, symmetric)
+        _, _, levels = _scan(psi, range(psi.num_qubits, 1, -1), config, "auto", 1)
+        for sizes, reference in specs:
+            shape = Shape(sizes)
+            closed = closed_form(shape) if closed_form else None
             rows.append(TableRow(
                 state=state_name,
-                k=spec.k,
+                k=shape.k,
                 shape=shape,
-                exact=exact,
-                closed_value=closed,
-                numeric=numeric,
-                reference=float(spec.reference),
-                tolerance=spec.tolerance,
+                exact=None if closed is None else closed.exact,
+                closed_value=None if closed is None else closed.e_g,
+                numeric=min(e for p, e in levels[shape.k].items() if p.shape == shape),
+                reference=float(reference),
+                tolerance=EXACT_TOL if isinstance(reference, Fraction) else PRINTED_TOL,
             ))
     minimum = min(r.numeric for r in rows)
     degenerate = tuple(
@@ -313,7 +292,8 @@ def compute_curve(figure: str, config: OptimizerConfig | None = None, *,
         return CurveData(
             "3", {"n_list": list(n_values)},
             tuple(["eta"] + [f"e2_1_vs_rest_n{n}" for n in n_values]),
-            np.column_stack([etas] + [curve("wghz", m1=1, n=n) for n in n_values]),
+            np.column_stack([etas] + [[closedform.wghz_bisep_reduced(eta, 1, n - 1).e_g
+                                       for eta in etas.tolist()] for n in n_values]),
         )
 
     if figure in ("4", "5", "6", "7"):
@@ -555,7 +535,7 @@ def _check_figures(config, pmap):
                      f"[{'ok' if good else 'MISMATCH'}]")
     etas = np.linspace(0.0, np.pi / 2, 101)
     for n in range(4, 11):
-        values = [e for _, e in sweep_eta("wghz", etas, config, m1=1, n=n)]
+        values = [closedform.wghz_bisep_reduced(eta, 1, n - 1).e_g for eta in etas.tolist()]
         monotone = all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
         ends = abs(values[0] - 1.0 / n) <= 1e-6 and abs(values[-1] - 0.5) <= 1e-6
         good = monotone and ends

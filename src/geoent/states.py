@@ -74,9 +74,9 @@ class PureState:
         """The amplitude vector reshaped to one axis per qubit (read-only view)."""
         return self.amplitudes.reshape((2,) * self.num_qubits)
 
-    def support(self, tol: float = 1e-12) -> np.ndarray:
-        """Indices J with |c_J| > tol."""
-        return np.nonzero(np.abs(self.amplitudes) > tol)[0]
+    def support(self) -> np.ndarray:
+        """Indices J with |c_J| > 1e-12."""
+        return np.nonzero(np.abs(self.amplitudes) > 1e-12)[0]
 
     def allclose(self, other: "PureState", tol: float = 1e-12) -> bool:
         """Amplitude-wise comparison (no global-phase canonicalization)."""
@@ -281,7 +281,7 @@ class StateRecipe:
         if f == "explicit":
             amps = self._need("amplitudes")
             vec = np.array([complex(re, im) for re, im in amps])
-            n = int(np.log2(vec.size))
+            n = vec.size.bit_length() - 1
             return PureState(n, vec)
         raise DomainError(f"unknown family {f!r}")  # pragma: no cover
 

@@ -1,8 +1,10 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,16 @@ class TestStateCommand:
         doc = json.loads(out.read_text())
         assert doc["recipe"]["family"] == "magnon"
 
+    @pytest.mark.parametrize("amplitudes, message", [
+        ("[]", "need at least one qubit"),
+        ("[[1, 0], [0, 0], [0, 0]]", "amplitude vector has length 3"),
+    ], ids=["empty", "length-3"])
+    def test_explicit_amplitudes_of_bad_length(self, tmp_path, capsys, amplitudes, message):
+        code = run("state", "--family", "explicit", "--amplitudes", amplitudes,
+                   "-o", tmp_path / "x.json")
+        assert code == USAGE_ERROR
+        assert message in capsys.readouterr().err
+
     def test_invalid_recipe(self, tmp_path, capsys):
         code = run("state", "--family", "w", "-o", tmp_path / "x.json")
         assert code == 2
@@ -94,6 +106,19 @@ class TestEgkCommand:
         assert run("egk", path, "--k", 3, "--partition", "1,2|3,4|5,6") == 0
         value = float(capsys.readouterr().out.split("=")[1])
         assert value == pytest.approx(5 / 9, abs=1e-9)
+
+    @pytest.mark.parametrize("argv", [["--k", 3], ["--k", 2, "--partition", "1,2|3,4"]],
+                             ids=["absolute", "partition"])
+    def test_csv_format(self, w4_file, tmp_path, argv):
+        out = tmp_path / "r.csv"
+        assert run("egk", w4_file, *argv, "--format", "csv", "--restarts", 16, "-o", out) == 0
+        header, values = csv.reader(out.read_text().splitlines())
+        record = dict(zip(header, values, strict=True))
+        if "--partition" in argv:
+            assert out.read_text().splitlines()[1] == '2,"1,2|3,4",0.5,0.5'
+            assert record["partition"] == "1,2|3,4"
+        else:
+            assert json.loads(record["argmin_partitions"]) == ["1|2|3,4"]
 
     def test_bad_partition_string(self, w4_file, capsys):
         assert run("egk", w4_file, "--k", 2, "--partition", "1,2|zz") == 2
@@ -249,9 +274,9 @@ class TestVerifyCommand:
 
     def test_negative_control_tampered_reference(self, tmp_path, monkeypatch):
         # w4's 1|3 reference moved from 1/4 to 0.26: that row, and only it, fails.
-        rows = list(reports._TABLE_ROWS["w4"])
-        rows[3] = replace(rows[3], reference=0.26)
-        monkeypatch.setitem(reports._TABLE_ROWS, "w4", rows)
+        ghz4, (name, build, closed_form, rows) = reports._TABLES["I"]
+        rows = rows[:3] + [((1, 3), Fraction(26, 100))]
+        monkeypatch.setitem(reports._TABLES, "I", [ghz4, (name, build, closed_form, rows)])
         out = tmp_path / "v.txt"
         assert run("verify", "--suite", "tables", "-o", out) == 1
         mismatched = [line for line in out.read_text().splitlines() if "MISMATCH" in line]

@@ -354,8 +354,7 @@ class TestSweepEta:
         assert rows[1][1] == pytest.approx(5 / 9, abs=1e-6)
 
     def test_wghz_curve(self, config):
-        rows = ge.sweep_eta("wghz", np.linspace(0, np.pi / 2, 11), config, m1=1, n=6)
-        values = [e for _, e in rows]
+        values = compute_curve("3", config, n_list=[6], eta_points=11).rows[:, 1].tolist()
         assert values[0] == pytest.approx(1 / 6, abs=1e-9)
         assert values[-1] == pytest.approx(0.5, abs=1e-9)
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
