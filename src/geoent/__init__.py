@@ -14,10 +14,12 @@ from .closedform import (
     asym_w_ksep_reduced,
     cascade_f,
     cascade_max_f,
+    dicke_full_separable,
     ghz_egk,
     line_max,
     magnon2_bisep,
     magnon_bisep_schmidt,
+    symmetric_full_separable,
     w_bisep,
     w_full_separable,
     w_ksep_reduced,

@@ -5,6 +5,13 @@ rational in integers the result carries an exact Fraction. The rest are exact
 in floating point, with no iteration: the weighted single-excitation forms
 reduce to the single root of a convex scalar equation, and the W + GHZ
 bipartitions to the largest singular value of an at most 3x3 matrix.
+
+Full separability (K = N) of any permutation-symmetric state of 3..10 qubits
+is a maximum over one Bloch sphere. ``symmetric_full_separable`` takes it
+over the roots of one polynomial, found for a whole batch of states as
+companion-matrix eigenvalues, and the hierarchy scans and the figure-1 sweeps
+use it in place of the ascent. A Dicke state's value is Wei & Goldbart's
+closed form (``dicke_full_separable``).
 """
 
 from __future__ import annotations
@@ -141,11 +148,9 @@ def ghz_egk(n: int, k: int) -> ClosedFormValue:
 
 
 def w_full_separable(n: int) -> ClosedFormValue:
-    """Lambda^2 = ((N-1)/N)^(N-1) for the uniform single-excitation state."""
-    if n < 2:
-        raise DomainError("need N >= 2")
-    lam = Fraction((n - 1) ** (n - 1), n ** (n - 1))
-    return _from_exact_lambda2(lam, "w-fullsep")
+    """Lambda^2 = ((N-1)/N)^(N-1) for the uniform single-excitation state,
+    the Dicke value at k = 1."""
+    return dicke_full_separable(n, 1)
 
 
 def w_bisep(m: int, n: int) -> ClosedFormValue:
@@ -183,6 +188,157 @@ def w_ksep_reduced(shape: Shape) -> ClosedFormValue:
     """
     value = _max_sum_product(np.sqrt(np.asarray(shape.sizes, dtype=np.float64)))
     return _from_float_lambda2(value ** 2 / shape.n, "w-reduced-k")
+
+
+# ---------------------------------------------------------------------------
+# full separability of permutation-symmetric states
+# ---------------------------------------------------------------------------
+
+_SYMMETRIC_N = range(3, 11)  # the N that symmetric_full_separable answers; raw roots
+                             # lose up to 4.4e-3 at N = 11..14
+_CIRCLE_TOL = 1e-8  # E_j counts as rounding where |E_j| <= this x the sum of its terms' moduli
+_DICKE_TOL = 1e-12  # and a row is one Dicke state if every other |c_k| is at most this
+
+
+def dicke_full_separable(n: int, k: int) -> ClosedFormValue:
+    """Lambda^2 = C(N,k) (k/N)^k ((N-k)/N)^(N-k) for the Dicke state D_N^k, the
+    uniform superposition of the N-qubit kets with k ones (Wei & Goldbart,
+    PRA 68, 042307, 2003): every qubit in cos(t)|0> + e^(i x) sin(t)|1> with
+    sin^2(t) = k/N, a circle of maxima."""
+    if n < 2:
+        raise DomainError("need N >= 2")
+    if not 0 <= k <= n:
+        raise DomainError(f"need 0 <= k <= N, got k={k}, N={n}")
+    return _from_exact_lambda2(Fraction(comb(n, k) * k ** k * (n - k) ** (n - k), n ** n),
+                               "dicke-fullsep")
+
+
+def _polymul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise products of two stacks of polynomials, coefficients lowest first."""
+    if x.shape[1] > y.shape[1]:
+        x, y = y, x
+    out = np.zeros((len(x), x.shape[1] + y.shape[1] - 1), dtype=np.result_type(x, y))
+    for j in range(x.shape[1]):
+        out[:, j:j + y.shape[1]] += x[:, j:j + 1] * y
+    return out
+
+
+def _a_b(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (lowest first) of A = q' and B = N q - z q', per row of q."""
+    n = q.shape[1] - 1
+    j = np.arange(n + 1)
+    return j[1:] * q[:, 1:], (n - j[:n]) * q[:, :n]
+
+
+def _stationary_polynomial(q: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """Coefficients (lowest first) of E(z) = sum_i conj(q_i) R_i A^(i-1) B^(m-i)
+    for each row of q (see ``symmetric_full_separable``), or with ``absolute``
+    the same sum over every term's modulus, a scale for its rounding."""
+    n = q.shape[1] - 1
+    j = np.arange(n + 1)
+    a, b = _a_b(q)
+    r = (j - j[:, None]) * q[:, None]   # R_i = z q' - i q, row i
+    qbar = q.conj()
+    if absolute:
+        a, b, r, qbar = (np.abs(x) for x in (a, b, r, qbar))
+    a_pow, b_pow = [np.ones_like(a[:, :1])], [np.ones_like(b[:, :1])]
+    for _ in range(n - 1):
+        a_pow.append(_polymul(a_pow[-1], a))
+        b_pow.append(_polymul(b_pow[-1], b))
+    e = np.zeros((len(q), (n - 1) ** 2 + 2), dtype=a.dtype)
+    # i = 0: R_0 / A = z; i = N: R_N / B = -1
+    e[:, 1:] += qbar[:, :1] * b_pow[-1]
+    e[:, :-1] += (1 if absolute else -1) * qbar[:, n:] * a_pow[-1]
+    for i in range(1, n):
+        term = _polymul(r[:, i], _polymul(a_pow[i - 1], b_pow[n - 1 - i]))
+        e[:, :term.shape[1]] += qbar[:, i:i + 1] * term
+    return e
+
+
+def _symmetric_overlaps(q: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """F(z) = |q(z)|^2 / (1 + |z|^2)^N, one row of points per row of q, summed
+    as |sum_k q_k alpha^(N-k) beta^k|^2 over the unit vector (alpha, beta) ~ (1, z)."""
+    n = q.shape[1] - 1
+    k = np.arange(n + 1)
+    alpha = 1 / np.sqrt(1 + np.abs(z) ** 2)
+    beta = z * alpha
+    return np.abs((q[:, None] * alpha[..., None] ** (n - k) * beta[..., None] ** k).sum(-1)) ** 2
+
+
+def _newton_step(q: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each point z after one Newton step on h = conj(z) B(z) - A(z) = 0, the
+    stationarity of F, as a real 2-D system (h depends on z and conj(z));
+    a point whose step is not finite stays."""
+    def at(c):  # Horner, one row of points per row of coefficients
+        out = np.zeros_like(z)
+        for t in range(c.shape[1] - 1, -1, -1):
+            out = out * z + c[:, t:t + 1]
+        return out
+
+    a, b = _a_b(q)
+    j = np.arange(1, a.shape[1])
+    h_zbar = at(b)
+    h = z.conj() * h_zbar - at(a)
+    h_z = z.conj() * at(j * b[:, 1:]) - at(j * a[:, 1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = z + (h_zbar * h.conj() - h_z.conj() * h) / (np.abs(h_z) ** 2 - np.abs(h_zbar) ** 2)
+    return np.where(np.isfinite(step), step, z)
+
+
+def symmetric_full_separable(amps_by_weight) -> np.ndarray:
+    """Lambda^2 at K = N of S permutation-symmetric N-qubit states, one per row
+    of ``amps_by_weight`` (S, N+1): a_k, the amplitude of every ket with k ones.
+
+    For N >= 3 the closest product state of a symmetric state is symmetric
+    (Huebener et al., PRA 80, 032324, 2009), so Lambda^2 is the maximum over
+    one qubit phi ~ (1, z) of F(z) = |q(z)|^2 / (1 + |z|^2)^N with
+    q(z) = sum_k C(N,k) conj(a_k) z^k, together with z = 0 and z = inf (|1>).
+    At a stationary point with q != 0, conj(z) = A(z)/B(z) with A = q' and
+    B = N q - z q', both of degree <= m = N - 1. Conjugating and clearing
+    denominators, every such point is a root of
+        E(z) = z sum_i conj(B_i) A^i B^(m-i) - sum_i conj(A_i) A^i B^(m-i),
+    of degree <= m^2 + 1. Regrouped by conj(q_i), E is sum_i conj(q_i) R_i
+    A^(i-1) B^(m-i) with R_i = z q' - i q, whose coefficients (j - i) q_j
+    carry no cancellation, so a state near a Dicke state keeps its relative
+    accuracy. The roots come from ``numpy.linalg.eigvals`` of companion
+    matrices, one stack per numerical degree; F is evaluated at each root and
+    at the root after one Newton step on the stationarity, which recovers the
+    radius of a near-Dicke state's nearly circular ridge.
+
+    Where E vanishes identically (every coefficient at rounding level) the
+    maxima form a circle: a row with a
+    single Dicke component c_k = sqrt(C(N,k)) a_k gets Wei & Goldbart's
+    |c_k|^2 C(N,k) (k/N)^k ((N-k)/N)^(N-k); any other such row (a rotated
+    Dicke state) is nan. Every row is nan for N outside 3..10, where the raw
+    roots lose accuracy; callers take the ascent for nan rows.
+    """
+    amps = np.asarray(amps_by_weight, dtype=np.complex128)
+    if amps.ndim != 2 or amps.shape[1] < 2:
+        raise DomainError(f"need an (S, N+1) array of amplitudes, got shape {amps.shape}")
+    n = amps.shape[1] - 1
+    if n not in _SYMMETRIC_N:
+        return np.full(len(amps), np.nan)
+    binom = np.array([comb(n, k) for k in range(n + 1)], dtype=np.float64)
+    q = binom * amps.conj()
+    best = np.maximum(np.abs(q[:, 0]) ** 2, np.abs(q[:, n]) ** 2)
+    scaled = q / np.max(np.abs(q), axis=1, keepdims=True)
+    e = _stationary_polynomial(scaled)
+    live = np.abs(e) > _CIRCLE_TOL * _stationary_polynomial(scaled, absolute=True)
+    degree = np.where(live.any(axis=1), e.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1), -1)
+    for d in np.unique(degree[degree > 0]):
+        rows = np.nonzero(degree == d)[0]
+        companion = np.zeros((len(rows), d, d), dtype=np.complex128)
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        companion[:, :, -1] = -e[rows, :d] / e[rows, d:d + 1]
+        roots = np.linalg.eigvals(companion)
+        roots = np.concatenate([roots, _newton_step(scaled[rows], roots)], axis=1)
+        best[rows] = np.maximum(best[rows], _symmetric_overlaps(q[rows], roots).max(axis=1))
+    for row in np.nonzero(degree < 0)[0]:
+        dicke = binom * np.abs(amps[row]) ** 2
+        k = int(np.argmax(dicke))
+        single = np.delete(dicke, k).max() <= _DICKE_TOL ** 2
+        best[row] = dicke[k] * dicke_full_separable(n, k).lambda2 if single else np.nan
+    return np.minimum(best, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The absolute measure at a given K is the minimum of the relative measure
 over K-block partitions. ``_scan`` holds the scan policy of every caller:
 symmetric states (invariant under every qubit transposition) need only one
 representative partition per block-size shape; asymmetric states are
-scanned over all set partitions, within size caps. Every scanned partition
+scanned over all set partitions, within size caps. K = N of a symmetric
+state of 3..10 qubits is exact, from ``closedform.symmetric_full_separable``
+(its closest product state is symmetric too). Every other scanned partition
 is an independent distance problem: a scan gathers them all, runs one
 ``best_overlaps`` batch per shape, and maps the batches over ``workers``
 processes. A full hierarchy is then made monotone in K by construction (see
@@ -20,10 +22,11 @@ from itertools import combinations, repeat
 
 import numpy as np
 
+from .closedform import symmetric_full_separable
 from .errors import DomainError, ResourceCapError
 from .optimizer import OptimizerConfig, best_overlap, best_overlaps
 from .partitions import Partition, Shape, representative_partition, set_partitions, shapes
-from .states import PureState, ghz, magnon, permute_qubits, superpose, w, w_tilde3
+from .states import PureState, ghz, magnon, superpose, w, w_tilde3
 
 SYMMETRY_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
@@ -32,15 +35,19 @@ MAX_FULL_SCAN = 8
 MAX_SHAPE_SCAN = 14
 
 
+def _by_weight(psi: PureState) -> np.ndarray:
+    """The amplitude of the first ket of each Hamming weight k = 0..N, the
+    amplitude of every weight-k ket of a symmetric state."""
+    return psi.amplitudes[(1 << np.arange(psi.num_qubits + 1)) - 1]
+
+
 def is_symmetric(psi: PureState) -> bool:
-    """True iff the state is invariant under every adjacent qubit transposition."""
-    n = psi.num_qubits
-    for q in range(1, n):
-        sigma = list(range(1, n + 1))
-        sigma[q - 1], sigma[q] = sigma[q], sigma[q - 1]
-        if not psi.allclose(permute_qubits(psi, sigma), SYMMETRY_TOL):
-            return False
-    return True
+    """True iff every amplitude lies within SYMMETRY_TOL of the first amplitude of
+    its Hamming weight: the states invariant under every qubit transposition."""
+    j = np.arange(2 ** psi.num_qubits)
+    weight = sum((j >> q) & 1 for q in range(psi.num_qubits))
+    first = psi.amplitudes[(1 << weight) - 1]  # the first ket of weight w is 2^w - 1
+    return bool(np.max(np.abs(psi.amplitudes - first)) <= SYMMETRY_TOL)
 
 
 @contextmanager
@@ -138,13 +145,21 @@ def _scanned_partitions(n, k, scan_mode) -> list:
 
 def _scan(psi, ks, config, scan, workers):
     """The scan policy: (symmetric, scan mode, {K: {partition: E}}) for each
-    K of ``ks``, with every level's partitions in one ``_relative_values`` call."""
+    K of ``ks``. K = N of a symmetric state takes the exact rule of
+    ``closedform.symmetric_full_separable``; every other partition, and K = N
+    where that rule gives nan, goes to one ``_relative_values`` call."""
     n = psi.num_qubits
     symmetric = is_symmetric(psi)
     scan_mode = _resolve_scan(n, scan, symmetric)
     levels = {k: _scanned_partitions(n, k, scan_mode) for k in ks}
-    scanned = _relative_values(psi, [p for ps in levels.values() for p in ps],
+    exact = {}
+    if symmetric and n in levels:
+        lambda2, = symmetric_full_separable([_by_weight(psi)])
+        if not np.isnan(lambda2):
+            exact[levels[n][0]] = 1.0 - lambda2
+    scanned = _relative_values(psi, [p for ps in levels.values() for p in ps if p not in exact],
                                config or OptimizerConfig(), workers)
+    scanned.update(exact)
     return symmetric, scan_mode, {k: {p: scanned[p] for p in ps} for k, ps in levels.items()}
 
 
@@ -272,8 +287,11 @@ def sweep_eta(family: str, etas, config: OptimizerConfig | None = None, *,
               phi=0.0, k: int = 3):
     """(eta, E) pairs along a mixing-angle grid for the 3-qubit superposition
     families 'w_w_tilde' and 'w_ghz3', with relative phase ``phi``, one angle
-    or one per eta; ``k`` selects E^(2) (bipartition 1|2) or E^(3) (full
-    separability), computed as one ``best_overlaps`` batch.
+    or one per eta; ``k`` selects E^(2) (bipartition 1|2, one SVD per point)
+    or E^(3) (full separability). Every state of both families is symmetric,
+    so E^(3) is the exact rule of ``closedform.symmetric_full_separable``,
+    batched over the grid; points where it gives nan (a rotated Dicke state)
+    and the E^(2) points run as one ``best_overlaps`` batch.
     """
     if family not in ("w_w_tilde", "w_ghz3"):
         raise DomainError(f"unknown sweep family {family!r}")
@@ -293,5 +311,9 @@ def sweep_eta(family: str, etas, config: OptimizerConfig | None = None, *,
         raise DomainError(f"need one phi or {len(etas)} of them, got shape {phis.shape}")
     states = [superpose(np.cos(eta), w(3), np.sin(eta), p, other)
               for eta, p in zip(etas, phis)]
-    results = best_overlaps(states, [partition] * len(states), config)
-    return [(eta, r.e_g) for eta, r in zip(etas, results)]
+    e_g = np.full(len(states), np.nan)
+    if k == 3:
+        e_g = 1.0 - symmetric_full_separable(np.reshape([_by_weight(psi) for psi in states], (-1, 4)))
+    rest = np.flatnonzero(np.isnan(e_g))
+    e_g[rest] = [r.e_g for r in best_overlaps([states[i] for i in rest], [partition] * len(rest), config)]
+    return [(eta, float(e)) for eta, e in zip(etas, e_g)]

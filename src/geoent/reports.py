@@ -24,6 +24,7 @@ from .closedform import cascade_f, cascade_max_f, line_max
 from .errors import DomainError, ShapeMismatchError
 from .hierarchy import (
     DEGENERACY_TOL,
+    _by_weight,
     _process_map,
     _scan,
     egk_absolute,
@@ -99,6 +100,14 @@ def _w_closed(shape: Shape):
     return closedform.w_ksep_reduced(shape)
 
 
+def _magnon2_closed(shape: Shape):
+    """The two-excitation state's closed form on a shape: the Dicke value at
+    K = N, the bipartition form at K = 2, none in between."""
+    if shape.k == shape.n:
+        return closedform.dicke_full_separable(shape.n, 2)
+    return closedform.magnon2_bisep(shape.sizes[0], shape.n) if shape.k == 2 else None
+
+
 # Per table, each state as (name, builder, closed form of a Shape or None,
 # rows of (block sizes, reference)); a Fraction reference is exact, a float
 # one is printed to three decimals. Every row lists one shape of its state.
@@ -150,9 +159,8 @@ _TABLES = {
         ]),
     ],
     "V": [
-        ("magnon4_2", lambda: magnon(4, 2),
-         lambda s: closedform.magnon2_bisep(s.sizes[0], s.n) if s.k == 2 else None, [
-             ((1, 1, 1, 1), 0.625),
+        ("magnon4_2", lambda: magnon(4, 2), _magnon2_closed, [
+             ((1, 1, 1, 1), Fraction(5, 8)),
              ((1, 1, 2), 0.583),
              ((2, 2), Fraction(1, 3)),
              ((1, 3), Fraction(1, 2)),
@@ -387,6 +395,14 @@ def _check_tables(config, pmap):
     return results
 
 
+_SYMMETRIC_FAMILIES = (
+    ("ghz", ghz),
+    ("w", w),
+    ("magnon2", lambda n: magnon(n, 2)),
+    ("wghz(pi/6)", lambda n: superpose(np.cos(np.pi / 6), w(n), np.sin(np.pi / 6), 0.0, ghz(n))),
+)
+
+
 def _check_fullsep(config, pmap):
     lines = []
     ok = True
@@ -409,6 +425,19 @@ def _check_fullsep(config, pmap):
             lines.append(f"ghz{n} K={k}: {fmt(value)} [MISMATCH]")
     lines.append("ghz N=2..8, all K: absolute E within 1e-9 of 1/2"
                  if ok else "ghz rows above mismatched")
+    # Scans take K = N of a symmetric state from the exact rule, so the ascent
+    # is cross-checked against it here.
+    for name, build in _SYMMETRIC_FAMILIES:
+        worst = 0.0
+        for n in range(3, 8):
+            psi = build(n)
+            exact, = closedform.symmetric_full_separable([_by_weight(psi)])
+            partition = representative_partition(Shape((1,) * n))
+            worst = max(worst, abs(best_overlap(psi, partition, config).lambda2 - exact))
+        good = worst <= 1e-9
+        ok = ok and good
+        lines.append(f"{name} N=3..7 full separability: ascent vs exact symmetric rule, "
+                      f"max |diff| = {fmt(worst)} [{'ok' if good else 'MISMATCH'}]")
     return [CheckResult("6", "full-separability", ok, tuple(lines))]
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -72,6 +73,133 @@ class TestWFullSeparable:
             assert 1 - ge.w_full_separable(n).lambda2 == pytest.approx(
                 1 - ((n - 1) / n) ** (n - 1), abs=1e-14
             )
+
+
+FULL3 = ge.Partition(((1,), (2,), (3,)))
+
+
+def _assert_within(got, want, tol):
+    """got lies within tol of want, and a 1e-9 shift of got would not."""
+    assert np.max(np.abs(got - want)) <= tol
+    assert np.max(np.abs(got + 1e-9 - want)) > tol
+
+
+def _assert_in_intervals(values, states):
+    """Each value lies in its state's certified 1|2|3 interval [lo - 1e-9, hi + 1e-12],
+    and a 1e-9 rise of the values would leave some interval."""
+    lo, hi = np.array([ge.qubit_block_interval(psi, FULL3) for psi in states]).T
+    assert np.all(lo - 1e-9 <= values) and np.all(values <= hi + 1e-12)
+    assert np.any(values + 1e-9 > hi + 1e-12)
+
+
+def _by_weight(psi):
+    return psi.amplitudes[(1 << np.arange(psi.num_qubits + 1)) - 1]
+
+
+def _symmetric_state(amps_by_weight):
+    """The normalized symmetric state with amplitude a_k on every weight-k ket."""
+    n = len(amps_by_weight) - 1
+    amps = np.asarray(amps_by_weight)[[bin(j).count("1") for j in range(2 ** n)]]
+    return ge.PureState(n, amps / np.linalg.norm(amps))
+
+
+class TestDickeFullSeparable:
+    def test_exact_values(self):
+        assert ge.dicke_full_separable(4, 2).exact == Fraction(5, 8)
+        assert ge.dicke_full_separable(6, 3).exact == 1 - Fraction(20 * 27 * 27, 6 ** 6)
+        for n in range(2, 9):
+            assert ge.dicke_full_separable(n, 1) == ge.w_full_separable(n)
+            assert ge.dicke_full_separable(n, 0).lambda2 == ge.dicke_full_separable(n, n).lambda2 == 1.0
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (4, -1), (4, 5)])
+    def test_range(self, n, k):
+        with pytest.raises(DomainError):
+            ge.dicke_full_separable(n, k)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_dense_one_dimensional_maximum(self, n):
+        # (cos t, sin t) on every qubit: C(N,k) s^k (1 - s)^(N-k) with s = sin^2 t.
+        s = np.linspace(0.0, 1.0, 200001)
+        for k in range(1, n):
+            grid = np.max(comb(n, k) * s ** k * (1 - s) ** (n - k))
+            exact = ge.dicke_full_separable(n, k).lambda2
+            assert exact >= grid - 1e-15
+            _assert_within(exact, grid, 2e-10)  # the grid's own error is below 8.4e-11
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_dicke_rows_of_the_batched_rule(self, n):
+        # E vanishes identically on a Dicke state; a global phase and a
+        # weight below 1 scale Wei & Goldbart's value by |c_k|^2.
+        rows = np.zeros((n + 1, n + 1), dtype=np.complex128)
+        rows[np.arange(n + 1), np.arange(n + 1)] = [
+            0.8 * np.exp(0.3j) / np.sqrt(comb(n, k)) for k in range(n + 1)]
+        want = [0.64 * ge.dicke_full_separable(n, k).lambda2 for k in range(n + 1)]
+        _assert_within(ge.symmetric_full_separable(rows), np.array(want), 1e-15)
+
+
+class TestSymmetricFullSeparable:
+    def test_figure_one_states_in_certified_interval(self):
+        config = ge.OptimizerConfig(seed=1)
+        phis = compute_curve("1", config).rows[:, 4]
+        etas = np.linspace(0.0, np.pi / 2, 101)
+        states = [ge.superpose(np.cos(e), ge.w(3), np.sin(e), p, other)
+                  for other, phases in ((ge.w_tilde3(), 0.0), (ge.ghz(3), 0.0),
+                                        (ge.ghz(3), np.pi), (ge.ghz(3), phis))
+                  for e, p in zip(etas, np.broadcast_to(phases, etas.shape))]
+        assert len(states) == 404
+        _assert_in_intervals(ge.symmetric_full_separable([_by_weight(s) for s in states]), states)
+
+    @pytest.mark.parametrize("other", [ge.w_tilde3(), ge.ghz(3)], ids=["w_w_tilde", "w_ghz3"])
+    def test_near_either_end_in_certified_interval(self, other):
+        # Near a Dicke end the maxima approach a circle and E all but vanishes.
+        small = np.logspace(-15, -1, 15)
+        etas = np.concatenate([small, np.pi / 2 - small])
+        phis = (0.0, np.pi, np.random.default_rng(3).uniform(0.0, np.pi))
+        states = [ge.superpose(np.cos(e), ge.w(3), np.sin(e), p, other) for p in phis for e in etas]
+        _assert_in_intervals(ge.symmetric_full_separable([_by_weight(s) for s in states]), states)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_random_symmetric_states_meet_the_ascent(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(20, n + 1)) + 1j * rng.normal(size=(20, n + 1))
+        states = [_symmetric_state(row) for row in rows]
+        partition = ge.representative_partition(ge.Shape((1,) * n))
+        ascent = np.array([r.lambda2 for r in ge.best_overlaps(states, [partition] * 20)])
+        exact = ge.symmetric_full_separable([_by_weight(psi) for psi in states])
+        assert np.min(exact - ascent) >= -1e-14
+        assert not np.min(exact - 1e-9 - ascent) >= -1e-14
+        _assert_within(exact, ascent, 1e-12)
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3)])
+    def test_dicke_states_with_rounding_noise_meet_the_ascent(self, n, k):
+        # Eigenvalues alone miss the circle of maxima's radius here by up to
+        # 7.8e-12 in lambda^2; the Newton step on the stationarity recovers it.
+        rng = np.random.default_rng(k)
+        noise = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        states = [_symmetric_state(np.eye(n + 1)[k] + eps * noise) for eps in (1e-15, 3e-15, 1e-13)]
+        partition = ge.representative_partition(ge.Shape((1,) * n))
+        ascent = np.array([ge.best_overlap(psi, partition).lambda2 for psi in states])
+        exact = ge.symmetric_full_separable([_by_weight(psi) for psi in states])
+        assert np.min(exact - ascent) >= -1e-14
+        assert not np.min(exact - 1e-9 - ascent) >= -1e-14
+        _assert_within(exact, ascent, 1e-12)
+
+    def test_rotated_w_is_nan_and_its_scan_takes_the_ascent(self, config):
+        rng = np.random.default_rng(4)
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        psi = ge.PureState(3, np.kron(np.kron(u, u), u) @ ge.w(3).amplitudes)
+        assert ge.is_symmetric(psi)
+        assert np.isnan(ge.symmetric_full_separable([_by_weight(psi)])[0])
+        value, _ = ge.egk_absolute(psi, 3, config)
+        _assert_within(1.0 - value, 4 / 9, 5e-10)
+
+    @pytest.mark.parametrize("n", [2, 11])
+    def test_nan_outside_three_to_ten_qubits(self, n):
+        assert np.isnan(ge.symmetric_full_separable([_by_weight(ge.w(n))])).all()
+
+    def test_shape_checked(self):
+        with pytest.raises(DomainError):
+            ge.symmetric_full_separable([0.5, 0.5])
 
 
 class TestWBisep:

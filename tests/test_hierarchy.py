@@ -37,6 +37,68 @@ class TestIsSymmetric:
     def test_asymmetric_states(self, psi):
         assert not ge.is_symmetric(psi)
 
+    def test_antisymmetric_pair(self):
+        # (|01> - |10>)/sqrt(2) (x) |0>: equal moduli within each weight, signs differ.
+        amps = np.zeros(8)
+        amps[[2, 4]] = [1 / np.sqrt(2), -1 / np.sqrt(2)]
+        assert not ge.is_symmetric(ge.PureState(3, amps))
+
+    def test_one_amplitude_moved_by_1e9(self):
+        amps = ge.magnon(5, 2).amplitudes.copy()
+        amps[0b01100] += 1e-9
+        assert not ge.is_symmetric(ge.PureState(5, amps / np.linalg.norm(amps)))
+        amps[0b01100] -= 1e-9 - 1e-11
+        assert ge.is_symmetric(ge.PureState(5, amps / np.linalg.norm(amps)))
+
+
+def _count_ascent_problems(monkeypatch):
+    """The partitions the hierarchy module hands to ``best_overlaps``."""
+    from geoent import hierarchy as hmod
+
+    sent = []
+    real = hmod.best_overlaps
+
+    def counted(states, partitions, config=None):
+        sent.extend(partitions)
+        return real(states, partitions, config)
+
+    monkeypatch.setattr(hmod, "best_overlaps", counted)
+    return sent
+
+
+class TestExactSymmetricRoute:
+    def test_symmetric_hierarchy_sends_no_full_separability(self, monkeypatch, fast_config):
+        sent = _count_ascent_problems(monkeypatch)
+        report = ge.full_hierarchy(ge.w(7), fast_config)
+        assert sent and max(p.k for p in sent) == 6
+        assert report.entry(7).absolute_e == pytest.approx(ge.w_full_separable(7).e_g, abs=1e-15)
+
+    def test_figure_one_sends_no_problem(self, monkeypatch, fast_config):
+        sent = _count_ascent_problems(monkeypatch)
+        compute_curve("1", fast_config, eta_points=11)
+        assert sent == []
+
+    def test_random_state_sends_full_separability(self, monkeypatch, fast_config):
+        sent = _count_ascent_problems(monkeypatch)
+        ge.full_hierarchy(ge.random_state(5, 0), fast_config)
+        assert ge.Partition(((1,), (2,), (3,), (4,), (5,))) in sent
+
+    def test_beyond_ten_qubits_sends_full_separability(self, monkeypatch, fast_config):
+        sent = _count_ascent_problems(monkeypatch)
+        value, _ = ge.egk_absolute(ge.w(11), 11, fast_config)
+        assert [p.k for p in sent] == [11]
+        assert value == pytest.approx(ge.w_full_separable(11).e_g, abs=1e-9)
+
+    def test_nan_points_of_a_sweep_take_the_ascent(self, monkeypatch, config):
+        from geoent import hierarchy as hmod
+
+        real = hmod.symmetric_full_separable
+        monkeypatch.setattr(hmod, "symmetric_full_separable",
+                            lambda rows: np.where(np.arange(len(rows)) % 2, np.nan, real(rows)))
+        etas = np.linspace(0.0, np.pi / 2, 7)
+        rows = np.array([e for _, e in ge.sweep_eta("w_ghz3", etas, config, phi=0.4)])
+        _assert_within(rows, _lone_e3(etas, 0.4, ge.ghz(3), config), 1e-12)
+
 
 class TestRelative:
     def test_w6_shape_2_4(self, config):

@@ -45,7 +45,7 @@ TABLE_ROWS = {
         ("cluster4", 2, "1|3", None, True, EXACT),
     ],
     "V": [
-        ("magnon4_2", 4, "1|1|1|1", None, True, PRINTED),
+        ("magnon4_2", 4, "1|1|1|1", Fraction(5, 8), False, EXACT),
         ("magnon4_2", 3, "1|1|2", None, True, PRINTED),
         ("magnon4_2", 2, "2|2", Fraction(1, 3), False, EXACT),
         ("magnon4_2", 2, "1|3", Fraction(1, 2), False, EXACT),
