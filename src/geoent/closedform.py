@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from operator import methodcaller
 
 import numpy as np
 import scipy.optimize
@@ -381,6 +382,9 @@ def magnon_bisep_schmidt(m: int, n: int, k: int) -> ClosedFormValue:
 # weighted single-excitation (asymmetric) states
 # ---------------------------------------------------------------------------
 
+_INTEGER_RATIO = np.frompyfunc(methodcaller("as_integer_ratio"), 1, 2)
+
+
 def _gamma_fractions(gamma) -> list[Fraction]:
     out = [Fraction(g) for g in gamma]
     if any(g.numerator < 0 for g in out):
@@ -390,19 +394,25 @@ def _gamma_fractions(gamma) -> list[Fraction]:
     return out
 
 
-def _bisep_ratio(gamma, blocks) -> tuple[int, int]:
+def _bisep_ratio(gamma, blocks):
     """The largest Lambda^2 over the bipartitions block | rest for per-qubit
     weights, max(sum_A gamma^2, sum_notA gamma^2) / sum gamma^2, as a pair of
-    integers: each weight's ``as_integer_ratio`` scaled to the lcm of the
-    denominators, so the sums are of squared integers, exact for any rational
-    weights (floats included), and one correctly rounded int / int is a float.
+    integers, for one row of weights (N,) or for each row of a (P, N) array
+    (then two object arrays of P Python ints). Each distinct weight's
+    ``as_integer_ratio`` is scaled to the lcm of all their denominators, so
+    the sums are of squared integers, exact for any rational weights (floats
+    included, whose denominators are powers of two), and one correctly
+    rounded int / int per row is a float.
     """
-    ratios = [g.as_integer_ratio() for g in gamma]
-    scale = lcm(*(d for _, d in ratios))
-    squares = [(n * (scale // d)) ** 2 for n, d in ratios]
-    total = sum(squares)
-    inside = [sum(squares[q - 1] for q in block) for block in blocks]
-    return max(max(x, total - x) for x in inside), total
+    rows = np.asarray(gamma)
+    values, index = np.unique(rows, return_inverse=True)
+    num, den = _INTEGER_RATIO(values.astype(object))
+    scaled = (num * (lcm(*den) // den)) ** 2
+    squares = scaled[index.reshape(rows.shape)].reshape(-1, rows.shape[-1])
+    total = squares.sum(axis=1)
+    inside = (squares[:, [q - 1 for q in block]].sum(axis=1) for block in blocks)
+    top = np.maximum.reduce([np.maximum(x, total - x) for x in inside])
+    return (top, total) if rows.ndim == 2 else (top[0], total[0])
 
 
 def asym_w_bisep(gamma, block_a) -> ClosedFormValue:
@@ -453,6 +463,26 @@ def asym_w_ksep_reduced(gamma, blocks) -> ClosedFormValue:
 # W + GHZ superposition, bipartitions
 # ---------------------------------------------------------------------------
 
+def _wghz_bisep_lambda2(etas, m1: int, m2: int) -> np.ndarray:
+    """Lambda^2 of ``wghz_bisep_reduced`` at each eta of ``etas``: the
+    coefficient matrices of all of them in one stacked SVD."""
+    etas = np.asarray(etas, dtype=np.float64)
+    outside = etas[~((etas >= 0.0) & (etas <= np.pi / 2 + 1e-12))]
+    if outside.size:
+        raise DomainError(f"eta={outside[0]} outside [0, pi/2]")
+    if m1 < 1 or m2 < 1:
+        raise DomainError("block sizes must be >= 1")
+    c = np.cos(etas) / np.sqrt(m1 + m2)
+    s = np.sin(etas) / np.sqrt(2.0)
+    ones1, ones2 = min(m1, 2), min(m2, 2)  # index of |1...1> in each basis
+    coefficients = np.zeros((etas.size, ones1 + 1, ones2 + 1))
+    coefficients[:, 0, 0] = s
+    coefficients[:, 1, 0] = c * np.sqrt(m1)
+    coefficients[:, 0, 1] = c * np.sqrt(m2)
+    coefficients[:, ones1, ones2] = s
+    return np.linalg.svd(coefficients, compute_uv=False)[:, 0] ** 2
+
+
 def wghz_bisep_reduced(eta: float, m1: int, m2: int) -> ClosedFormValue:
     """Bipartition value for cos(eta) W + sin(eta) GHZ on M1 + M2 qubits.
 
@@ -463,17 +493,5 @@ def wghz_bisep_reduced(eta: float, m1: int, m2: int) -> ClosedFormValue:
     c sqrt(M2) at the single excitations; Lambda^2 is its largest squared
     singular value.
     """
-    if not 0.0 <= eta <= np.pi / 2 + 1e-12:
-        raise DomainError(f"eta={eta} outside [0, pi/2]")
-    if m1 < 1 or m2 < 1:
-        raise DomainError("block sizes must be >= 1")
-    c = np.cos(eta) / np.sqrt(m1 + m2)
-    s = np.sin(eta) / np.sqrt(2.0)
-    ones1, ones2 = min(m1, 2), min(m2, 2)  # index of |1...1> in each basis
-    coefficients = np.zeros((ones1 + 1, ones2 + 1))
-    coefficients[0, 0] = s
-    coefficients[1, 0] = c * np.sqrt(m1)
-    coefficients[0, 1] = c * np.sqrt(m2)
-    coefficients[ones1, ones2] = s
-    sigma = np.linalg.svd(coefficients, compute_uv=False)[0]
-    return _from_float_lambda2(float(sigma ** 2), "wghz-reduced-2")
+    lambda2, = _wghz_bisep_lambda2([eta], m1, m2)
+    return _from_float_lambda2(float(lambda2), "wghz-reduced-2")

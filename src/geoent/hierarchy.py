@@ -35,10 +35,10 @@ MAX_FULL_SCAN = 8
 MAX_SHAPE_SCAN = 14
 
 
-def _by_weight(psi: PureState) -> np.ndarray:
-    """The amplitude of the first ket of each Hamming weight k = 0..N, the
-    amplitude of every weight-k ket of a symmetric state."""
-    return psi.amplitudes[(1 << np.arange(psi.num_qubits + 1)) - 1]
+def _by_weight(amps: np.ndarray) -> np.ndarray:
+    """The amplitude of the first ket of each Hamming weight k = 0..N along the
+    last axis of ``amps``, the amplitude of every weight-k ket of a symmetric state."""
+    return amps[..., (1 << np.arange(amps.shape[-1].bit_length())) - 1]
 
 
 def is_symmetric(psi: PureState) -> bool:
@@ -154,7 +154,7 @@ def _scan(psi, ks, config, scan, workers):
     levels = {k: _scanned_partitions(n, k, scan_mode) for k in ks}
     exact = {}
     if symmetric and n in levels:
-        lambda2, = symmetric_full_separable([_by_weight(psi)])
+        lambda2, = symmetric_full_separable([_by_weight(psi.amplitudes)])
         if not np.isnan(lambda2):
             exact[levels[n][0]] = 1.0 - lambda2
     scanned = _relative_values(psi, [p for ps in levels.values() for p in ps if p not in exact],
@@ -287,11 +287,14 @@ def sweep_eta(family: str, etas, config: OptimizerConfig | None = None, *,
               phi=0.0, k: int = 3):
     """(eta, E) pairs along a mixing-angle grid for the 3-qubit superposition
     families 'w_w_tilde' and 'w_ghz3', with relative phase ``phi``, one angle
-    or one per eta; ``k`` selects E^(2) (bipartition 1|2, one SVD per point)
-    or E^(3) (full separability). Every state of both families is symmetric,
-    so E^(3) is the exact rule of ``closedform.symmetric_full_separable``,
-    batched over the grid; points where it gives nan (a rotated Dicke state)
-    and the E^(2) points run as one ``best_overlaps`` batch.
+    or one per eta; ``k`` selects E^(2) (bipartition 1|2) or E^(3) (full
+    separability). The amplitudes of the whole curve are one (P, 8) array,
+    each row the normalized cos(eta) W + sin(eta) e^(i phi) other, as
+    ``superpose`` builds it. Every state of both families is symmetric, so
+    E^(3) is the exact rule of ``closedform.symmetric_full_separable`` on the
+    rows' weight columns; points where it gives nan (a rotated Dicke state)
+    and the E^(2) points become states for one ``best_overlaps`` batch (one
+    stacked SVD at k = 2).
     """
     if family not in ("w_w_tilde", "w_ghz3"):
         raise DomainError(f"unknown sweep family {family!r}")
@@ -309,11 +312,16 @@ def sweep_eta(family: str, etas, config: OptimizerConfig | None = None, *,
         phis = np.full(len(etas), phis)
     elif phis.shape != (len(etas),):
         raise DomainError(f"need one phi or {len(etas)} of them, got shape {phis.shape}")
-    states = [superpose(np.cos(eta), w(3), np.sin(eta), p, other)
-              for eta, p in zip(etas, phis)]
-    e_g = np.full(len(states), np.nan)
+    angles = np.array(etas, dtype=np.float64)
+    amps = (np.cos(angles)[:, None] * w(3).amplitudes
+            + (np.sin(angles) * np.exp(1j * phis))[:, None] * other.amplitudes)
+    # One norm per row, as superpose takes it: norm(axis=1) sums in another
+    # order and moves some E by an ulp.
+    amps /= np.array([np.linalg.norm(row) for row in amps])[:, None]
+    e_g = np.full(len(etas), np.nan)
     if k == 3:
-        e_g = 1.0 - symmetric_full_separable(np.reshape([_by_weight(psi) for psi in states], (-1, 4)))
+        e_g = 1.0 - symmetric_full_separable(_by_weight(amps))
     rest = np.flatnonzero(np.isnan(e_g))
-    e_g[rest] = [r.e_g for r in best_overlaps([states[i] for i in rest], [partition] * len(rest), config)]
+    states = [PureState(3, amps[i]) for i in rest]
+    e_g[rest] = [r.e_g for r in best_overlaps(states, [partition] * len(rest), config)]
     return [(eta, float(e)) for eta, e in zip(etas, e_g)]

@@ -258,12 +258,15 @@ _DEFAULT_FIG3_N = (2, 3, 4, 5, 6, 7, 8, 9, 10, 20, 30, 40, 50, 100)
 def compute_curve(figure: str, config: OptimizerConfig | None = None, *,
                   eta_points: int = 101, gamma_points: int = 61,
                   n_list=None) -> CurveData:
-    """Datasets behind the seven curve/surface figures.
+    """Datasets behind the seven curve/surface figures, each built by a few
+    whole-array passes rather than one call per point.
 
     1: E^(3) of the two 3-qubit superposition families vs eta (phases 0, pi,
-       and seeded-random per point); 2: E^(2) of the same families; 3:
-       E^(2)(1|N-1) of the real W+GHZ superposition for several N; 4-7:
-       weighted single-excitation surfaces over (gamma1, gamma2).
+       and seeded-random per point); 2: E^(2) of the same families; both one
+       ``sweep_eta`` per curve. 3: E^(2)(1|N-1) of the real W+GHZ
+       superposition for several N, one stacked SVD over the eta grid per N.
+       4-7: weighted single-excitation surfaces over (gamma1, gamma2), each
+       one exact integer pass of ``closedform._bisep_ratio`` over the grid.
     """
     config = config or OptimizerConfig()
     if eta_points < 2 or gamma_points < 2:
@@ -300,8 +303,8 @@ def compute_curve(figure: str, config: OptimizerConfig | None = None, *,
         return CurveData(
             "3", {"n_list": list(n_values)},
             tuple(["eta"] + [f"e2_1_vs_rest_n{n}" for n in n_values]),
-            np.column_stack([etas] + [[closedform.wghz_bisep_reduced(eta, 1, n - 1).e_g
-                                       for eta in etas.tolist()] for n in n_values]),
+            np.column_stack([etas] + [1.0 - closedform._wghz_bisep_lambda2(etas, 1, n - 1)
+                                      for n in n_values]),
         )
 
     if figure in ("4", "5", "6", "7"):
@@ -314,11 +317,10 @@ def compute_curve(figure: str, config: OptimizerConfig | None = None, *,
             fixed = {"gamma3": 2.0 / 3.0, "gamma4": 1.0 / 6.0}
             blocks = [{1}] if figure == "6" else [{1, 2}]
         # closedform.asym_w_bisep's exact value, min over blocks, in one
-        # integer pass per point, with no Fraction built.
-        e = []
-        for a, b in zip(g1.tolist(), g2.tolist()):
-            top, total = closedform._bisep_ratio((a, b, *fixed.values()), blocks)
-            e.append(1.0 - top / total)
+        # integer pass over the grid, with no Fraction built.
+        gammas = np.column_stack([g1, g2] + [np.full(g1.size, g) for g in fixed.values()])
+        top, total = closedform._bisep_ratio(gammas, blocks)
+        e = 1.0 - (top / total).astype(np.float64)
         return CurveData(figure, fixed, ("gamma1", "gamma2", "e2"), np.column_stack([g1, g2, e]))
 
     raise DomainError(f"unknown figure {figure!r}; choose 1-7")
@@ -418,20 +420,22 @@ def _check_fullsep(config, pmap):
     cases = [(n, k) for n in range(2, 9) for k in range(2, n + 1)]
     absolute = pmap(egk_absolute, [ghz(n) for n, _ in cases], [k for _, k in cases],
                     repeat(config))
+    ghz_ok = True
     for (n, k), (value, _) in zip(cases, absolute):
         good = abs(value - 0.5) <= 1e-9
-        ok = ok and good
+        ghz_ok = ghz_ok and good
         if not good:
             lines.append(f"ghz{n} K={k}: {fmt(value)} [MISMATCH]")
+    ok = ok and ghz_ok
     lines.append("ghz N=2..8, all K: absolute E within 1e-9 of 1/2"
-                 if ok else "ghz rows above mismatched")
+                 if ghz_ok else "ghz rows above mismatched")
     # Scans take K = N of a symmetric state from the exact rule, so the ascent
     # is cross-checked against it here.
     for name, build in _SYMMETRIC_FAMILIES:
         worst = 0.0
         for n in range(3, 8):
             psi = build(n)
-            exact, = closedform.symmetric_full_separable([_by_weight(psi)])
+            exact, = closedform.symmetric_full_separable([_by_weight(psi.amplitudes)])
             partition = representative_partition(Shape((1,) * n))
             worst = max(worst, abs(best_overlap(psi, partition, config).lambda2 - exact))
         good = worst <= 1e-9
@@ -564,7 +568,7 @@ def _check_figures(config, pmap):
                      f"[{'ok' if good else 'MISMATCH'}]")
     etas = np.linspace(0.0, np.pi / 2, 101)
     for n in range(4, 11):
-        values = [closedform.wghz_bisep_reduced(eta, 1, n - 1).e_g for eta in etas.tolist()]
+        values = (1.0 - closedform._wghz_bisep_lambda2(etas, 1, n - 1)).tolist()
         monotone = all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
         ends = abs(values[0] - 1.0 / n) <= 1e-6 and abs(values[-1] - 0.5) <= 1e-6
         good = monotone and ends

@@ -78,12 +78,6 @@ class PureState:
         """Indices J with |c_J| > 1e-12."""
         return np.nonzero(np.abs(self.amplitudes) > 1e-12)[0]
 
-    def allclose(self, other: "PureState", tol: float = 1e-12) -> bool:
-        """Amplitude-wise comparison (no global-phase canonicalization)."""
-        return self.num_qubits == other.num_qubits and bool(
-            np.max(np.abs(self.amplitudes - other.amplitudes)) <= tol
-        )
-
 
 def _normalized(amps) -> np.ndarray:
     amps = np.asarray(amps, dtype=np.complex128)

@@ -478,6 +478,21 @@ class TestWghzBisepReduced:
                 value = ge.wghz_bisep_reduced(eta, m1, n - m1).lambda2
                 assert value == pytest.approx(sigma ** 2, abs=1e-14)
 
+    def test_figure_three_columns_are_per_eta_values(self):
+        # Checked bitwise: a column is one stacked SVD over all etas, and
+        # wghz_bisep_reduced is the same helper on one eta.
+        data = compute_curve("3")
+        etas = data.rows[:, 0].tolist()
+        for j, n in enumerate(data.meta["n_list"], start=1):
+            assert data.rows[:, j].tolist() == [ge.wghz_bisep_reduced(eta, 1, n - 1).e_g
+                                                for eta in etas]
+
+    def test_stacked_rule_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            compute_curve("3", n_list=[1])
+        with pytest.raises(DomainError):
+            ge.wghz_bisep_reduced(np.nan, 1, 2)
+
 
 class TestCascade:
     @pytest.mark.parametrize("m", range(1, 7))

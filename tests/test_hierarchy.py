@@ -456,6 +456,28 @@ class TestSweepEta:
             assert lo - 1e-9 <= 1.0 - e <= hi + 1e-12
             assert hi - lo <= 1e-10
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("family", ["w_w_tilde", "w_ghz3"])
+    @pytest.mark.parametrize("phi", [0.7, np.linspace(0.0, np.pi, 101)], ids=["scalar", "per-eta"])
+    def test_curve_is_bitwise_per_point_superpose(self, k, family, phi):
+        # Each row of the curve's amplitude array is superpose's state, so every
+        # E is bitwise the per-point rule: the exact symmetric rule at k = 3
+        # (the ascent where it gives nan), one SVD at k = 2.
+        etas = np.linspace(0.0, np.pi / 2, 101)
+        other = ge.w_tilde3() if family == "w_w_tilde" else ge.ghz(3)
+        config = ge.OptimizerConfig(seed=1)
+        want = []
+        for eta, p in zip(etas.tolist(), np.broadcast_to(phi, etas.shape)):
+            psi = ge.superpose(np.cos(eta), ge.w(3), np.sin(eta), p, other)
+            exact, = ge.symmetric_full_separable([psi.amplitudes[[0, 1, 3, 7]]])
+            if k == 3 and not np.isnan(exact):
+                want.append(1.0 - exact)
+            else:
+                partition = FULL3 if k == 3 else ge.Partition(((1,), (2, 3)))
+                want.append(ge.best_overlap(psi, partition, config).e_g)
+        rows = ge.sweep_eta(family, etas, config, phi=phi, k=k)
+        assert [e for _, e in rows] == want
+
     def test_phi_of_wrong_length(self, config):
         with pytest.raises(DomainError):
             ge.sweep_eta("w_ghz3", [0.0, 0.5], config, phi=[0.0, 1.0, 2.0])

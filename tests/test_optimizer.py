@@ -10,6 +10,11 @@ from geoent.optimizer import (_blocked_tensor, _coarsening_bounds, _initial_fact
                               _pencil_top, _qubit_pencil, _qubit_top)
 
 
+def max_diff(a, b):
+    """The largest absolute difference between two states' amplitudes."""
+    return np.max(np.abs(a.amplitudes - b.amplitudes))
+
+
 def schmidt_lambda2(psi, partition):
     """Independent bipartition oracle: largest squared singular value."""
     assert partition.k == 2
@@ -105,7 +110,7 @@ class TestConfigAndTypes:
         factors = (np.eye(4)[1].astype(complex), np.eye(4)[2].astype(complex))
         # block {1,3} in state |01>, block {2,4} in |10>: qubits (1,2,3,4) = 0,1,1,0
         assembled = ge.ProductState(partition, factors).assemble()
-        assert assembled.allclose(ge.basis_ket(4, 0b0110), 1e-15)
+        assert max_diff(assembled, ge.basis_ket(4, 0b0110)) <= 1e-15
 
 
 class TestAscentKernel:
@@ -291,11 +296,36 @@ class TestBatch:
         rows = np.concatenate(factors, axis=1)
         assert len(np.unique(rows, axis=0)) == len(rows) == 64
 
-    def test_unequal_dimensions_rejected(self, fast_config):
+    def test_empty_batch(self, fast_config):
+        assert ge.best_overlaps([], [], fast_config) == []
+
+    def test_bipartition_batch_of_one_is_best_overlap(self, fast_config):
+        psi = ge.random_state(5, 4)
+        partition = ge.Partition(((1, 3), (2, 4, 5)))
+        alone, = ge.best_overlaps([psi], [partition], fast_config)
+        assert same_result(alone, ge.best_overlap(psi, partition, fast_config))
+        assert alone.lambda2 == pytest.approx(schmidt_lambda2(psi, partition), abs=1e-14)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_bipartition_batch_is_bitwise_single_calls(self, n, fast_config):
+        # One stacked SVD per shape: every value and both gauged factors equal
+        # each problem's own call, for a mix of states in one batch.
+        states = [ge.random_state(n, 90 + i) for i in range(3)]
+        for batch in shape_batches(n, 2):
+            mixed = [states[i % 3] for i in range(len(batch))]
+            results = ge.best_overlaps(mixed, batch, fast_config)
+            for psi, partition, result in zip(mixed, batch, results):
+                assert same_result(result, ge.best_overlap(psi, partition, fast_config))
+                assert result.lambda2 == pytest.approx(schmidt_lambda2(psi, partition), abs=1e-14)
+
+    @pytest.mark.parametrize("blocks", [
+        [((1,), (2,), (3, 4, 5)), ((1,), (2, 3), (4, 5))],
+        [((1,), (2, 3, 4, 5)), ((1, 2), (3, 4, 5))],
+    ], ids=["k3", "k2"])
+    def test_unequal_dimensions_rejected(self, blocks, fast_config):
         psi = ge.random_state(5, 3)
         with pytest.raises(ShapeMismatchError):
-            ge.best_overlaps([psi, psi], [ge.Partition(((1,), (2,), (3, 4, 5))),
-                                          ge.Partition(((1,), (2, 3), (4, 5)))], fast_config)
+            ge.best_overlaps([psi, psi], [ge.Partition(b) for b in blocks], fast_config)
 
 
 def is_top_eigvec(gram, v, tol=1e-12):

@@ -74,3 +74,16 @@ def test_one_scan_per_table_state(table, states, fast_config, monkeypatch):
     monkeypatch.setattr(hierarchy, "_relative_values", counted)
     reports.compute_table(table, fast_config)
     assert len(calls) == states
+
+
+def test_w_mismatch_keeps_the_ghz_summary(fast_config, monkeypatch):
+    # A w full-separability row that mismatches fails the suite; the GHZ
+    # summary still speaks for the GHZ rows alone.
+    real = reports.closedform.w_full_separable
+    monkeypatch.setattr(reports.closedform, "w_full_separable",
+                        lambda n: real(n + 1) if n == 5 else real(n))
+    result, = reports._check_fullsep(fast_config, map)
+    assert not result.passed
+    assert [line for line in result.lines if "MISMATCH" in line][0].startswith("w5 ")
+    assert "ghz N=2..8, all K: absolute E within 1e-9 of 1/2" in result.lines
+    assert "ghz rows above mismatched" not in result.lines
