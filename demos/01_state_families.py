@@ -30,7 +30,7 @@ print("cluster4 amplitudes at (0, 3, 12, 15):",
 mg = ge.magnon(4, 2)
 print("magnon(4,2) support (all two-excitation indices):", list(mg.support()))
 print("magnon(5,1) == w(5):",
-      bool(np.max(np.abs(ge.magnon(5, 1).amplitudes - ge.w(5).amplitudes)) <= 1e-12))
+      np.allclose(ge.magnon(5, 1).amplitudes, ge.w(5).amplitudes, rtol=0, atol=1e-12))
 
 # Weighted single-excitation states: gamma is qubit-ordered, so gamma[0]
 # weights qubit 1 (index J = 2^(N-1)).
@@ -54,4 +54,4 @@ for name, state in [("w(5)", ge.w(5)), ("cluster4", c4),
 recipe = ge.StateRecipe(family="magnon", n=4, k=2)
 ge.save_state(mg, "/tmp/magnon42.json", recipe=recipe)
 print("round trip:",
-      bool(np.max(np.abs(ge.load_state("/tmp/magnon42.json").amplitudes - mg.amplitudes)) <= 1e-12))
+      np.allclose(ge.load_state("/tmp/magnon42.json").amplitudes, mg.amplitudes, rtol=0, atol=1e-12))

@@ -293,8 +293,7 @@ def sweep_eta(family: str, etas, config: OptimizerConfig | None = None, *,
     ``superpose`` builds it. Every state of both families is symmetric, so
     E^(3) is the exact rule of ``closedform.symmetric_full_separable`` on the
     rows' weight columns; points where it gives nan (a rotated Dicke state)
-    and the E^(2) points become states for one ``best_overlaps`` batch (one
-    stacked SVD at k = 2).
+    and the E^(2) points become states for one ``best_overlaps`` batch.
     """
     if family not in ("w_w_tilde", "w_ghz3"):
         raise DomainError(f"unknown sweep family {family!r}")

@@ -299,39 +299,25 @@ def _pair_step(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def best_overlap(psi: PureState, partition: Partition, config: OptimizerConfig | None = None) -> OverlapResult:
-    """Lambda_K^2 on a fixed partition: the SVD of ``best_overlaps`` for K = 2,
-    on a batch of one, else its ascent on this one problem."""
-    psi_k = _blocked_tensor(psi, partition)[None]
-    if psi_k.ndim <= 3:
-        return _exact(psi_k, [partition])[0]
-    return _ascent(psi_k, [partition], config or OptimizerConfig())[0]
-
-
-def _exact(stack, partitions) -> list[OverlapResult]:
-    """K <= 2 on a stack of blocked tensors (axis 0), with no ascent: one block
-    is its own product state; a bipartition's Lambda^2 is the largest squared
-    singular value, from one stacked SVD, with the gauged leading singular
-    vectors as its factors."""
-    if stack.ndim == 2:
-        sigma, factors = np.ones(len(stack)), [_gauge_fix(stack)]
-    else:
-        u, s, vh = np.linalg.svd(stack, full_matrices=False)
-        sigma, factors = s[:, 0], [_gauge_fix(u[:, :, 0]), _gauge_fix(vh[:, 0])]
-    results = []
-    for i, (p, top) in enumerate(zip(partitions, sigma.tolist())):
-        best = min(top ** 2, 1.0)
-        product = ProductState(p, tuple(f[i] for f in factors))
-        results.append(OverlapResult(best, 1.0 - best, product, p, 0, True, 0, upper_bound=best))
-    return results
+    """Lambda_K^2 on a fixed partition: an SVD for K = 2, else the ascent of
+    ``best_overlaps`` on this one problem."""
+    psi_k = _blocked_tensor(psi, partition)
+    if psi_k.ndim == 1:
+        product = ProductState(partition, (_gauge_fix(psi_k.reshape(1, -1))[0],))
+        return OverlapResult(1.0, 0.0, product, partition, 0, True, 0, upper_bound=1.0)
+    if psi_k.ndim == 2:
+        u, s, vh = np.linalg.svd(psi_k, full_matrices=False)
+        best = min(float(s[0]) ** 2, 1.0)
+        product = ProductState(partition, (_gauge_fix(u[:, :1].T)[0], _gauge_fix(vh[:1])[0]))
+        return OverlapResult(best, 1.0 - best, product, partition, 0, True, 0, upper_bound=best)
+    return _ascent(psi_k[None], [partition], config or OptimizerConfig())[0]
 
 
 def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> list[OverlapResult]:
     """Lambda_K^2 of each problem of two equal-length sequences, whose blocks
-    have the same dimensions in block order. An empty batch gives [] and a
-    lone problem is a ``best_overlap`` call. A batch of bipartitions (K = 2)
-    is one stacked SVD, with one batched gauge fix per side, the rule that
-    ``best_overlap`` applies to a batch of one; for K >= 3 the problems run
-    as one multistart ascent over all their restarts, in pieces of at most
+    have the same dimensions in block order. An empty batch gives []. A
+    lone problem, or K <= 2, is a ``best_overlap`` call; the others run as
+    one multistart ascent over all their restarts, in pieces of at most
     ``_BATCH_AMPLITUDES`` problems x restarts x 2^N.
 
     A sweep takes the steps of the module docstring: a pair takes the top
@@ -367,11 +353,9 @@ def best_overlaps(states, partitions, config: OptimizerConfig | None = None) -> 
     tensors = [_blocked_tensor(psi, p) for psi, p in zip(states, partitions, strict=True)]
     if any(t.shape != tensors[0].shape for t in tensors):
         raise ShapeMismatchError("a batch needs partitions with equal block dimensions")
-    if len(tensors) <= 1:
+    if len(tensors) <= 1 or tensors[0].ndim <= 2:
         return [best_overlap(psi, p, config) for psi, p in zip(states, partitions)]
     stack = np.stack(tensors)
-    if stack.ndim <= 3:
-        return _exact(stack, partitions)
     per_run = max(1, _BATCH_AMPLITUDES // (config.restarts * tensors[0].size))
     return [res for i in range(0, len(stack), per_run)
             for res in _ascent(stack[i:i + per_run], partitions[i:i + per_run], config)]

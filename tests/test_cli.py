@@ -13,11 +13,7 @@ import pytest
 import geoent as ge
 from geoent import cli, reports
 from geoent.cli import NUMERIC_ERROR, USAGE_ERROR, main
-
-
-def max_diff(a, b):
-    """The largest absolute difference between two states' amplitudes."""
-    return np.max(np.abs(a.amplitudes - b.amplitudes))
+from conftest import max_diff
 
 
 def run(*argv):

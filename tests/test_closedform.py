@@ -479,13 +479,26 @@ class TestWghzBisepReduced:
                 assert value == pytest.approx(sigma ** 2, abs=1e-14)
 
     def test_figure_three_columns_are_per_eta_values(self):
-        # Checked bitwise: a column is one stacked SVD over all etas, and
-        # wghz_bisep_reduced is the same helper on one eta.
+        # Each eta's coefficient matrix, built here on its own and given its
+        # own SVD, against figure 3's stacked columns and the public value,
+        # within 1 ulp of Lambda^2 (squaring an array rounds differently from
+        # a scalar power: one figure value, n = 30, moves by that ulp).
+        def lambda2(eta, m1, m2):
+            c, s = np.cos(eta) / np.sqrt(m1 + m2), np.sin(eta) / np.sqrt(2.0)
+            row, col = {0: 0, 1: 1, m1: min(m1, 2)}, {0: 0, 1: 1, m2: min(m2, 2)}
+            mat = np.zeros((min(m1, 2) + 1, min(m2, 2) + 1))
+            mat[row[0], col[0]] += s
+            mat[row[m1], col[m2]] += s
+            mat[row[1], col[0]] += c * np.sqrt(m1)
+            mat[row[0], col[1]] += c * np.sqrt(m2)
+            return float(np.linalg.svd(mat, compute_uv=False)[0] ** 2)
+
         data = compute_curve("3")
-        etas = data.rows[:, 0].tolist()
         for j, n in enumerate(data.meta["n_list"], start=1):
-            assert data.rows[:, j].tolist() == [ge.wghz_bisep_reduced(eta, 1, n - 1).e_g
-                                                for eta in etas]
+            for eta, e in data.rows[:, [0, j]].tolist():
+                want = lambda2(eta, 1, n - 1)
+                assert abs(e - (1.0 - want)) <= np.spacing(want)
+                assert abs(ge.wghz_bisep_reduced(eta, 1, n - 1).lambda2 - want) <= np.spacing(want)
 
     def test_stacked_rule_rejects_bad_input(self):
         with pytest.raises(DomainError):

@@ -4,15 +4,11 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import geoent as ge
+from conftest import max_diff
 from geoent import reports
 from geoent.errors import DomainError, ShapeMismatchError
 from geoent.optimizer import (_blocked_tensor, _coarsening_bounds, _initial_factors, _pair_step,
                               _pencil_top, _qubit_pencil, _qubit_top)
-
-
-def max_diff(a, b):
-    """The largest absolute difference between two states' amplitudes."""
-    return np.max(np.abs(a.amplitudes - b.amplitudes))
 
 
 def schmidt_lambda2(psi, partition):
@@ -308,8 +304,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_bipartition_batch_is_bitwise_single_calls(self, n, fast_config):
-        # One stacked SVD per shape: every value and both gauged factors equal
-        # each problem's own call, for a mix of states in one batch.
+        # Every value and both gauged factors equal each problem's own call,
+        # for a mix of states in one batch.
         states = [ge.random_state(n, 90 + i) for i in range(3)]
         for batch in shape_batches(n, 2):
             mixed = [states[i % 3] for i in range(len(batch))]

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 import geoent as ge
+from conftest import max_diff
 from geoent.errors import (
     DegenerateInputError,
     DomainError,
     ShapeMismatchError,
 )
-
-
-def max_diff(a, b):
-    """The largest absolute difference between two states' amplitudes."""
-    return np.max(np.abs(a.amplitudes - b.amplitudes))
 
 
 class TestBasisKet:
